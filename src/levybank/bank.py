@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GRID_RTOL, DiagonalOperator, ProblemSpec, TimeGrid, phi1
+from .core import (GRID_RTOL, DiagonalOperator, ProblemSpec, TimeGrid,
+                   covariance_weights, phi1)
 from .stable import SubordinatorPath, sample_stable_increment
 from .streams import (DOMAIN_RECORD_CLOCK, DOMAIN_RECORD_GAUSS, DOMAIN_SUB_PATH,
                       make_rng, stream_key)
@@ -124,11 +125,6 @@ class SimulationBank:
     @property
     def m_ou(self) -> int:
         return self.header.m_ou
-
-    def sub_path(self, i: int) -> SubordinatorPath:
-        """Subordinator-only path i as a view-backed object."""
-        return SubordinatorPath(grid=self.fine_grid, values=self.sub_values[i],
-                                seed=stream_key(DOMAIN_SUB_PATH, i))
 
     def record(self, i: int) -> ConvolutionRecord:
         """Convolution record i as a view-backed object."""
@@ -265,13 +261,9 @@ def covariance_integral(record_or_path, spec: ProblemSpec, sigma_scale: float,
         raise ValueError(f"sigma_scale must be positive, got {sigma_scale}")
     path = record_or_path.sub if isinstance(record_or_path, ConvolutionRecord) else record_or_path
     iu, it = _fine_window(path, u, t)
-    d = path.grid.step
-    lam = spec.lambdas
-    ages = np.arange(it - 1 - iu, -1, -1.0)                  # bins iu..it-1
-    decay = np.exp(-2.0 * np.outer(ages, lam) * d)           # (n_bins, N)
+    weights = covariance_weights(spec.lambdas, path.grid.step, it - iu)  # bins iu..it-1
     dl = np.diff(path.values[iu:it + 1])
-    g2 = phi1(2.0 * lam * d)
-    return (sigma_scale * spec.sigmas) ** 2 * g2 * np.einsum("bk,b->k", decay, dl)
+    return (sigma_scale * spec.sigmas) ** 2 * np.einsum("bk,b->k", weights, dl)
 
 
 def _checkpoint_index(record: ConvolutionRecord, t: float) -> int:
@@ -298,20 +290,6 @@ def convolution_segment(record: ConvolutionRecord, spec: ProblemSpec,
     prop = np.exp(-spec.lambdas * (t - s))
     return sigma_scale * spec.sigmas * (np.asarray(chk[jt], dtype=float)
                                         - prop * np.asarray(chk[js], dtype=float))
-
-
-def ou_endpoint(record: ConvolutionRecord, spec: ProblemSpec, sigma_scale: float,
-                shift, s: float, x: np.ndarray, t: float) -> np.ndarray:
-    """Z^{s,x}_t = e^{(t-s)A} x + F_{s,t} + noise segment, for one record.
-
-    shift is a TimeShift (or None for f = 0); s < t on the coarse grid.
-    """
-    from .flow import forcing_convolution
-
-    prop = np.exp(-spec.lambdas * (t - s))
-    return prop * np.asarray(x, dtype=float) \
-        + forcing_convolution(spec, shift, s, t) \
-        + convolution_segment(record, spec, sigma_scale, s, t)
 
 
 def save_bank(bank: SimulationBank, path) -> None:

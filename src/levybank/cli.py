@@ -193,21 +193,28 @@ def _query_for(cfg, sigma: float, t: float, x, field, use_shift: bool):
                        field=field, use_shift=use_shift)
 
 
+def _iterates(cfg, bank, spec, shift, q, max_order: int) -> list:
+    """[v0, v1, v2, ..., v_max_order] for one query (v0 and v1 always)."""
+    from .estimators import v0_estimate, v1_estimate, vn_estimate
+    return [v0_estimate(bank, spec, shift, q),
+            v1_estimate(bank, spec, shift, q, cfg.mesh, cfg.n_pairs, seed=cfg.sample_seed)] \
+        + [vn_estimate(bank, spec, shift, q, order, cfg.mesh, cfg.n_tuples,
+                       seed=cfg.sample_seed) for order in range(2, max_order + 1)]
+
+
 def cmd_table(cfg, args) -> int:
     preset = {k: v for k, v in _TABLE_PRESETS[args.table].items()
               if k not in cfg.explicit}
     cfg = replace(cfg, **preset)
-    from .estimators import (em_benchmark, partial_sums, v0_estimate,
-                             v1_estimate, vn_estimate)
+    from .estimators import em_benchmark, partial_sums
     sigma = cfg.sigmas[0]
     t = cfg.t_values[-1] if cfg.t_values else cfg.horizon
     x = _parse_x(cfg.x, cfg.dim)
     field = _make_field(cfg, cfg.field_kind)
     shift = _solve_shift(cfg, field, x) if cfg.use_shift else None
     max_order = max(cfg.orders)
-    header = ["alpha", "P", "v0", "eps0_r", "v1", "eps1_r"]
-    if max_order >= 2:
-        header += ["v2", "eps2_r"]
+    header = ["alpha", "P"] + [c for k in range(max(max_order, 1) + 1)
+                               for c in (f"v{k}", f"eps{k}_r")]
     rows, se_rows = [], []
     for alpha in cfg.alphas:
         spec = _make_spec(cfg, alpha)
@@ -216,12 +223,7 @@ def cmd_table(cfg, args) -> int:
         t0 = time.perf_counter()
         bench = em_benchmark(spec, q, cfg.benchmark_paths, cfg.delta_em,
                              cfg.bank_seed, method=cfg.benchmark_method)
-        iterates = [v0_estimate(bank, spec, shift, q),
-                    v1_estimate(bank, spec, shift, q, cfg.mesh, cfg.n_pairs,
-                                seed=cfg.sample_seed)]
-        for order in range(2, max_order + 1):
-            iterates.append(vn_estimate(bank, spec, shift, q, order, cfg.mesh,
-                                        cfg.n_tuples, seed=cfg.sample_seed))
+        iterates = _iterates(cfg, bank, spec, shift, q, max_order)
         _ensure_finite(f"table {args.table} alpha={alpha:g}", bench, *iterates)
         sums = partial_sums(iterates, bench)
         row = [alpha, bench.value]
@@ -248,7 +250,7 @@ def cmd_figure(cfg, args) -> int:
     field_kind, curves = _FIGURE_PRESETS[args.figure]
     if "field_kind" in cfg.explicit:
         field_kind = cfg.field_kind
-    from .estimators import em_benchmark_series, v0_estimate, v1_estimate
+    from .estimators import em_benchmark_series
     t_grid = cfg.t_values or [round(0.1 * k, 10) for k in range(1, 11)]
     x = _parse_x(cfg.x, cfg.dim)
     field = _make_field(cfg, field_kind)
@@ -273,9 +275,7 @@ def cmd_figure(cfg, args) -> int:
         rows = []
         for t_val, b_est in zip(t_grid, bench):
             q = _query_for(run, sigma, t_val, x, field, use_shift)
-            v0 = v0_estimate(bank, spec, shift, q)
-            v1 = v1_estimate(bank, spec, shift, q, run.mesh, run.n_pairs,
-                             seed=run.sample_seed)
+            v0, v1 = _iterates(run, bank, spec, shift, q, 1)
             _ensure_finite(f"figure {args.figure} t={t_val:g}", b_est, v0, v1)
             p = b_est.value
             if p == 0.0:
@@ -296,7 +296,6 @@ def cmd_figure(cfg, args) -> int:
 
 
 def cmd_sweep(cfg, args) -> int:
-    from .estimators import v0_estimate, v1_estimate
     if not cfg.bank_path:
         raise ConfigError("sweep needs a bank: set bank.path or pass --bank")
     spec = _make_spec(cfg, cfg.alpha)
@@ -328,9 +327,7 @@ def cmd_sweep(cfg, args) -> int:
                         else:
                             shift = None
                         q = _query_for(run, sigma, t, x, fld, cfg.use_shift)
-                        v0 = v0_estimate(bank, spec, shift, q)
-                        v1 = v1_estimate(bank, spec, shift, q, run.mesh,
-                                         run.n_pairs, seed=run.sample_seed)
+                        v0, v1 = _iterates(run, bank, spec, shift, q, 1)
                         _ensure_finite(f"sweep row {key}", v0, v1)
                         rows.append(key + ["ok", v0.value, v0.std_error,
                                            v1.value, v1.std_error])

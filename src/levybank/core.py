@@ -121,13 +121,6 @@ class TimeGrid:
         return i
 
 
-def propagator(spec: ProblemSpec, tau: float) -> DiagonalOperator:
-    """Diagonal of e^{tau A}: entry k is exp(-lambda_k * tau), tau >= 0."""
-    if tau < 0.0:
-        raise ValueError(f"propagator needs tau >= 0, got {tau}")
-    return np.exp(-spec.lambdas * tau)
-
-
 def covariance_deterministic_clock(spec: ProblemSpec, u: float, t: float) -> DiagonalOperator:
     """Covariance integral for the deterministic clock L_r = r, in closed form.
 
@@ -141,13 +134,16 @@ def covariance_deterministic_clock(spec: ProblemSpec, u: float, t: float) -> Dia
     return spec.sigmas ** 2 * -np.expm1(-2.0 * lam * (t - u)) / (2.0 * lam)
 
 
-def indicator_observable(x: np.ndarray, radius: float) -> float:
-    """Indicator of {|x| > radius} (Euclidean norm, strict inequality)."""
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    return 1.0 if float(np.linalg.norm(x)) > radius else 0.0
-
-
 def phi1(z):
     """(1 - e^{-z})/z elementwise for z > 0, stable down to tiny z."""
     return -np.expm1(-z) / z
+
+
+def covariance_weights(lambdas: np.ndarray, d: float, n_bins: int) -> np.ndarray:
+    """Per-bin covariance weights e^{-2 lambda d age} phi1(2 lambda d), (n_bins, N).
+
+    Row i is the bin ending age = n_bins-1-i bins before the window's end, so
+    dL @ weights is the unit covariance int e^{2(t-r)A} dL_r of the window.
+    """
+    ages = np.arange(n_bins - 1, -1, -1.0)
+    return np.exp(-2.0 * np.outer(ages, lambdas) * d) * phi1(2.0 * lambdas * d)

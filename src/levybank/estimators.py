@@ -13,11 +13,19 @@ Conventions shared by the iterate estimators:
   subordinator-only paths (the independent covariance draws).  Pairing is
   diagonal: sample l of n uses record perm_r[l] and sub paths perm_s[l + j*n],
   j = 0..order-1; the permutations are the identity when seed is None, else
-  derived from the seed, identically in v1_estimate and vn_estimate so the two
-  agree at order 1 on equal seeds.
+  derived from the seed.
 * Simplex interval i = [s_i, s_{i+1}] (s_{m+1} = t) takes its independent
   covariance from sub-path family order-i, so the interval touching t uses
   family 0; at order 1 this is exactly the first-iterate formula.
+* v1_estimate and vn_estimate are thin calls into one kernel, so vn at order
+  1 is v1 bit for bit.  The kernel walks the simplex backward: the last node
+  descends from t and streams the covariances of [s_m, t] one mesh bin at a
+  time, each earlier node descends from the node after it and accumulates
+  the covariances of its own interval, and at each leaf the state is pushed
+  forward from s through the chosen nodes.  At order 1 the walk holds only a
+  few (n, dim) panels; from order 2 on it keeps the per-bin covariances and
+  the node states, so the drift is evaluated once per node and once per
+  pushed state.
 * Covariance entries are floored at 1e-300 before inversion or square root;
   they are a.s. positive but can underflow for lambda = 1e4 when the clock
   puts almost no mass near the interval's right end.
@@ -34,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .bank import SimulationBank
-from .core import GRID_RTOL, ProblemSpec, phi1
+from .core import GRID_RTOL, ProblemSpec, covariance_weights, phi1
 from .fields import VectorFieldSpec, eval_field
 from .flow import TimeShift, forcing_convolution
 from .stable import sample_stable_increment
@@ -202,24 +210,27 @@ def em_benchmark(spec: ProblemSpec, q: QueryParams, n_paths: int, delta_em: floa
 
 
 # ---------------------------------------------------------------------------
-# Shared mesh-frame precomputation for the bank-based estimators
+# The simplex kernel behind v1 and vn
 
 
 class _MeshFrame:
-    """Grid bookkeeping and lookup tables for one (bank, query, mesh) triple.
+    """Grid bookkeeping, lookup tables and selected samples for one iterate call.
 
     Provides, for mesh nodes tau_j = s + j*h (tau_J = t):
       prop[m]   e^{-lambda m h}                                  (J+1, N)
       prop2[m]  e^{-2 lambda m h}                                (J+1, N)
       F[a, b]   forcing convolution F_{tau_a, tau_b}             (J+1, J+1, N)
-      chk(j)    record checkpoints at tau_j                      (n_rec, N)
-    and per-family covariance machinery over the fine clock paths.
+      clocks[f] fine clock increments by mesh bin, (n, J, k): sub-path family
+                f for f < order, the records for f = order
+    From order 2 on the earlier nodes revisit every bin and node, so their
+    partials, checkpoints and states are kept; order 1 streams them.
     """
 
     def __init__(self, bank: SimulationBank, spec: ProblemSpec,
-                 shift: Optional[TimeShift], q: QueryParams, mesh: float):
+                 shift: Optional[TimeShift], q: QueryParams, mesh: float,
+                 order: int, n: int, seed: Optional[int]):
         _check_bank(bank, spec)
-        self.bank, self.spec, self.q = bank, spec, q
+        self.bank, self.q, self.shift, self.order = bank, q, shift, order
         coarse = bank.coarse_grid
         i_s, i_t = coarse.index_of(q.s), coarse.index_of(q.t)
         stride_r = mesh / coarse.step
@@ -229,81 +240,126 @@ class _MeshFrame:
         if (i_t - i_s) % self.chk_stride:
             raise ValueError(f"mesh {mesh} must divide [s, t] = [{q.s}, {q.t}]")
         self.h = mesh
-        self.J = (i_t - i_s) // self.chk_stride
-        if self.J < 1:
-            raise ValueError("need t - s >= mesh")
+        self.J = J = (i_t - i_s) // self.chk_stride
+        if J < order:
+            raise ValueError(f"mesh too coarse: {J} nodes cannot host order {order}")
         self.i_s_coarse = i_s
-        self.taus = q.s + mesh * np.arange(self.J + 1)
+        self.taus = q.s + mesh * np.arange(J + 1)
         fine = bank.fine_grid
-        self.k_fine = self.chk_stride * int(round(coarse.step / fine.step))
-        self.fine_lo = fine.index_of(q.s)
+        k_fine = self.chk_stride * int(round(coarse.step / fine.step))
         self.diag = q.sigma_scale * spec.sigmas
         lam = spec.lambdas
-        steps = np.arange(self.J + 1) * mesh
+        steps = np.arange(J + 1) * mesh
         self.prop = np.exp(-np.outer(steps, lam))
         self.prop2 = np.exp(-2.0 * np.outer(steps, lam))
         # within-mesh-bin quadrature weights, anchored at the bin's right edge
-        d = fine.step
-        ages = np.arange(self.k_fine - 1, -1, -1.0)
-        self.w2 = np.exp(-2.0 * np.outer(ages, lam) * d) * phi1(2.0 * lam * d)  # (k, N)
-        self.shift = shift
-        self.F = np.zeros((self.J + 1, self.J + 1, spec.dim))
-        if shift is not None:
-            e1 = self.prop[1]
-            fbin = np.stack([forcing_convolution(spec, shift, self.taus[j], self.taus[j + 1])
-                             for j in range(self.J)])
-            for a in range(self.J):
-                acc = np.zeros(spec.dim)
-                for b in range(a + 1, self.J + 1):
-                    acc = e1 * acc + fbin[b - 1]
-                    self.F[a, b] = acc
+        self.w2 = covariance_weights(lam, fine.step, k_fine)  # (k, N)
+        self.F = np.zeros((J + 1, J + 1, spec.dim))
+        if shift is not None:  # F[a, b] = e^{hA} F[a, b-1] + F[b-1, b] for all a < b at once
+            for b in range(1, J + 1):
+                fbin = forcing_convolution(spec, shift, self.taus[b - 1], self.taus[b])
+                self.F[:b, b] = self.prop[1] * self.F[:b, b - 1] + fbin
+        self.rec = _selection(seed, bank.m_ou, n, which=0)
+        sub = _selection(seed, bank.m_sub, order * n, which=1)
+        samples = [(bank.sub_values, sub[f * n:(f + 1) * n]) for f in range(order)]
+        lo = fine.index_of(q.s)
+        self.clocks = [np.diff(values[idx, lo:lo + J * k_fine + 1], axis=1).reshape(n, J, k_fine)
+                       for values, idx in samples + [(bank.record_clock_values, self.rec)]]
+        self.tables, self.chk, self.nodes = {}, {}, {}
+        self.chk.update({j: self.checkpoint(j) for j in (range(J + 1) if order > 1 else (0, J))})
+        if order > 1:  # family 0 only ever serves the last interval, streamed
+            self.tables = {f: [self.partial(f, j) for j in range(J)]
+                           for f in range(1, order + 1)}
+            self.nodes = {j: self.node(j) for j in range(J - order + 1)}
 
-    def checkpoints(self, indices: np.ndarray) -> np.ndarray:
-        """Record checkpoints for the mesh nodes, shape (n, J+1, N)."""
-        sl = self.bank.record_checkpoints[
-            indices, self.i_s_coarse::self.chk_stride, :]
-        return np.asarray(sl[:, : self.J + 1, :], dtype=float)
+    def partial(self, f: int, j: int) -> np.ndarray:
+        """Unit covariance of mesh bin j alone for clock family f, anchored at tau_{j+1}."""
+        if f in self.tables:
+            return self.tables[f][j]
+        return np.einsum("mi,ik->mk", self.clocks[f][:, j], self.w2)
 
-    def block_increments(self, clock_values: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """Fine clock increments grouped by mesh bin, shape (n, J, k_fine)."""
-        lo = self.fine_lo
-        hi = lo + self.J * self.k_fine
-        dl = np.diff(clock_values[indices, lo:hi + 1], axis=1)
-        return dl.reshape(indices.size, self.J, self.k_fine)
+    def checkpoint(self, j: int) -> np.ndarray:
+        """Checkpoints of the selected records at node j, shape (n, N)."""
+        if j in self.chk:
+            return self.chk[j]
+        return np.asarray(self.bank.record_checkpoints[
+            self.rec, self.i_s_coarse + j * self.chk_stride, :], dtype=float)
 
-    def bin_partial(self, dl_blocks: np.ndarray, j: int) -> np.ndarray:
-        """Covariance contribution of mesh bin j alone, shape (n, N).
+    def drift(self, j: int, y: np.ndarray) -> np.ndarray:
+        """B(tau_j, y) = B0(tau_j, y) - f(tau_j)."""
+        b = eval_field(self.q.field, self.taus[j], y)
+        return b if self.shift is None else b - self.shift.value_at(self.taus[j])
 
-        Anchored at the bin's right edge tau_{j+1}; whole-interval covariances
-        follow by the prefix/suffix recurrences.
+    def node(self, j: int) -> tuple:
+        """(chk_j, Z_{tau_j}, B(tau_j, Z_{tau_j})) of the selected records at node j.
+
+        Z_{tau_j} = e^{-(tau_j-s)A} x + F_{s,tau_j}
+                    + sigma sqrt(Q) (chk_j - e^{-(tau_j-s)A} chk_0)
         """
-        return np.einsum("mi,ik->mk", dl_blocks[:, j], self.w2)
-
-    def bin_partials(self, clock_values: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """All per-mesh-bin unit covariance partials at once, shape (n, J, N)."""
-        return np.einsum("mji,ik->mjk",
-                         self.block_increments(clock_values, indices), self.w2)
-
-    def suffix_covariances(self, partials: np.ndarray) -> np.ndarray:
-        """Unit covariances over [tau_j, t] for every j, shape (n, J+1, N)."""
-        n = partials.shape[0]
-        suf = np.zeros((n, self.J + 1, self.spec.dim))
-        for j in range(self.J - 1, -1, -1):
-            suf[:, j] = suf[:, j + 1] + self.prop2[self.J - (j + 1)] * partials[:, j]
-        return suf
+        if j in self.nodes:
+            return self.nodes[j]
+        chk = self.checkpoint(j)
+        z = self.prop[j] * self.q.x + self.F[0, j] \
+            + self.diag * (chk - self.prop[j] * self.checkpoint(0))
+        return chk, z, self.drift(j, z)
 
 
-def _record_ou_values(frame: _MeshFrame, rec_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(checkpoints, OU values) of the selected records at all mesh nodes.
+def _leaf(frame: _MeshFrame, links: list) -> np.ndarray:
+    """Push the state from s through the chosen nodes; product of the interval factors.
 
-    OU value at tau_j is Z_{tau_j} = e^{-(tau_j - s)A} x + F_{s, tau_j} +
-    sigma sqrt(Q) (chk_j - e^{-(tau_j - s)A} chk_0); shapes (n, J+1, N).
+    links run from the last node down: (j_i, unit covariances of [tau_{j_i},
+    tau_{j_{i+1}}] for the record and for the interval's family), with
+    tau_{j_{m+1}} = t.  Each interval applies v1_estimate's formula with u, t
+    replaced by its own ends; the indicator enters on the interval ending at t.
     """
-    chk = frame.checkpoints(rec_idx)
-    q = frame.q
-    z = frame.prop[None, :, :] * q.x + frame.F[0][None, :, :] \
-        + frame.diag * (chk - frame.prop[None, :, :] * chk[:, :1, :])
-    return chk, z
+    diag = frame.diag
+    a = links[-1][0]
+    chk_a, y, drift = frame.node(a)
+    prod = 1.0
+    for i in range(len(links) - 1, -1, -1):
+        _, cov_rec, cov_om = links[i]
+        b = links[i - 1][0] if i else frame.J
+        i_rec = np.maximum(diag ** 2 * cov_rec, COV_FLOOR)
+        i_om = np.maximum(diag ** 2 * cov_om, COV_FLOOR)
+        prop_ab = frame.prop[b - a]
+        chk_b = frame.checkpoint(b)
+        dz = diag * (chk_b - prop_ab * chk_a)
+        y = np.sqrt(i_om / i_rec) * dz + frame.F[a, b] + prop_ab * y
+        inner = np.einsum("mk,mk->m", prop_ab * drift / np.sqrt(i_om), dz / np.sqrt(i_rec))
+        if b == frame.J:
+            inner = (np.linalg.norm(y, axis=1) > frame.q.radius).astype(float) * inner
+        else:
+            a, chk_a, drift = b, chk_b, frame.drift(b, y)
+        prod = prod * inner
+    return prod
+
+
+def _descend(frame: _MeshFrame, level: int, upper: int, links: list) -> np.ndarray:
+    """Sum over node s_level, walking down from node `upper` (J: from t).
+
+    Adds the unit covariances of [tau_j, tau_upper] one bin at a time for the
+    records and for family order - level, then walks the earlier nodes or, at
+    s_1, closes the tuple.
+    """
+    acc, cov_rec, cov_om = 0.0, 0.0, 0.0
+    for j in range(upper - 1, level - 2, -1):
+        decay = frame.prop2[upper - (j + 1)]
+        cov_rec = cov_rec + decay * frame.partial(frame.order, j)
+        cov_om = cov_om + decay * frame.partial(frame.order - level, j)
+        below = links + [(j, cov_rec, cov_om)]
+        acc = acc + (_leaf(frame, below) if level == 1
+                     else _descend(frame, level - 1, j, below))
+    return acc
+
+
+def _iterate(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShift],
+             q: QueryParams, order: int, mesh: float, n: int,
+             seed: Optional[int]) -> IterateEstimate:
+    """v^order as a left-Riemann sum over the mesh simplex, one walk for all orders."""
+    frame = _MeshFrame(bank, spec, _effective_shift(shift, q), q, mesh, order, n, seed)
+    value, se = _mean_se(frame.h ** order * _descend(frame, order, frame.J, []))
+    return IterateEstimate(value=value, std_error=se, n_samples=n,
+                           order=order, meta=_meta(q))
 
 
 # ---------------------------------------------------------------------------
@@ -352,56 +408,18 @@ def v1_estimate(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShi
                          f"(m_ou={bank.m_ou}, m_sub={bank.m_sub})")
     if n_pairs < 2:
         raise ValueError("need at least 2 pairs")
-    sh = _effective_shift(shift, q)
-    frame = _MeshFrame(bank, spec, sh, q, mesh)
-    rec_idx = _selection(seed, bank.m_ou, n_pairs, which=0)
-    sub_idx = _selection(seed, bank.m_sub, n_pairs, which=1)
-    dl_rec = frame.block_increments(bank.record_clock_values, rec_idx)
-    dl_sub = frame.block_increments(bank.sub_values, sub_idx)
-    J, diag = frame.J, frame.diag
-    pos0 = frame.i_s_coarse
-    stride = frame.chk_stride
-    q_x = np.asarray(q.x, dtype=float)
-    chk0 = np.asarray(bank.record_checkpoints[rec_idx, pos0, :], dtype=float)
-    chk_end = np.asarray(bank.record_checkpoints[rec_idx, pos0 + J * stride, :],
-                         dtype=float)
-    acc = np.zeros(n_pairs)
-    u1 = np.zeros((n_pairs, spec.dim))  # record covariance over [tau_j, t]
-    u0 = np.zeros((n_pairs, spec.dim))  # independent covariance over [tau_j, t]
-    for j in range(J - 1, -1, -1):
-        decay_new = frame.prop2[J - (j + 1)]
-        u1 = u1 + decay_new * frame.bin_partial(dl_rec, j)
-        u0 = u0 + decay_new * frame.bin_partial(dl_sub, j)
-        i1 = np.maximum(diag ** 2 * u1, COV_FLOOR)
-        i0 = np.maximum(diag ** 2 * u0, COV_FLOOR)
-        prop_ut = frame.prop[J - j]
-        chk_j = np.asarray(bank.record_checkpoints[rec_idx, pos0 + j * stride, :],
-                           dtype=float)
-        dz = diag * (chk_end - prop_ut * chk_j)
-        z_u = frame.prop[j] * q_x + frame.F[0, j] + diag * (chk_j - frame.prop[j] * chk0)
-        b_u = eval_field(q.field, frame.taus[j], z_u)
-        if sh is not None:
-            b_u = b_u - sh.value_at(frame.taus[j])
-        y_end = np.sqrt(i0 / i1) * dz + frame.F[j, J] + prop_ut * z_u
-        ind = (np.linalg.norm(y_end, axis=1) > q.radius).astype(float)
-        inner = np.einsum("mk,mk->m", prop_ut * b_u / np.sqrt(i0), dz / np.sqrt(i1))
-        acc += ind * inner
-    samples = frame.h * acc
-    value, se = _mean_se(samples)
-    return IterateEstimate(value=value, std_error=se, n_samples=n_pairs,
-                           order=1, meta=_meta(q))
+    return _iterate(bank, spec, shift, q, 1, mesh, n_pairs, seed)
 
 
 def vn_estimate(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShift],
                 q: QueryParams, order: int, mesh: float, n_tuples: int,
                 seed: Optional[int] = None) -> IterateEstimate:
-    """Iterate v^order for any order >= 1 (exercised to order 2).
+    """Iterate v^order for any order >= 1 (exercised to order 3).
 
     Left-Riemann sum over the ordered simplex s <= s_1 < ... < s_m < t on the
-    restricted product grid (m = order), depth-first over simplex tuples with
-    running per-interval covariances, vectorized over Monte Carlo tuples.
+    restricted product grid (m = order), vectorized over Monte Carlo tuples.
     Each tuple uses one record plus m independent sub paths; see the module
-    docstring for the pairing and the interval-to-family map.
+    docstring for the pairing, the interval-to-family map and the walk.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -411,83 +429,7 @@ def vn_estimate(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShi
         raise ValueError(
             f"bank too small for order={order}, n_tuples={n_tuples} "
             f"(m_ou={bank.m_ou}, m_sub={bank.m_sub})")
-    sh = _effective_shift(shift, q)
-    frame = _MeshFrame(bank, spec, sh, q, mesh)
-    J, diag, dim = frame.J, frame.diag, spec.dim
-    if J < order:
-        raise ValueError(f"mesh too coarse: {J} nodes cannot host order {order}")
-    rec_idx = _selection(seed, bank.m_ou, n_tuples, which=0)
-    sub_all = _selection(seed, bank.m_sub, order * n_tuples, which=1)
-    fam_idx = [sub_all[j * n_tuples:(j + 1) * n_tuples] for j in range(order)]
-
-    chk, z_rec = _record_ou_values(frame, rec_idx)
-    p_rec = frame.bin_partials(bank.record_clock_values, rec_idx)
-    suf_rec = frame.suffix_covariances(p_rec)
-    suf_om0 = frame.suffix_covariances(
-        frame.bin_partials(bank.sub_values, fam_idx[0]))
-    # families 1..order-1 are marched as interval prefixes, never as suffixes
-    p_fam = {j: frame.bin_partials(bank.sub_values, fam_idx[j])
-             for j in range(1, order)}
-
-    e2h = frame.prop2[1]
-    acc = np.zeros(n_tuples)
-
-    def close_tuple(j_m: int, y_m: np.ndarray, prod: np.ndarray) -> None:
-        """Final interval [tau_{j_m}, t] with family 0, then accumulate."""
-        nonlocal acc
-        i_rec = np.maximum(diag ** 2 * suf_rec[:, j_m], COV_FLOOR)
-        i_om = np.maximum(diag ** 2 * suf_om0[:, j_m], COV_FLOOR)
-        prop_ut = frame.prop[J - j_m]
-        dz = diag * (chk[:, J] - prop_ut * chk[:, j_m])
-        b_m = eval_field(q.field, frame.taus[j_m], y_m)
-        if sh is not None:
-            b_m = b_m - sh.value_at(frame.taus[j_m])
-        y_end = np.sqrt(i_om / i_rec) * dz + frame.F[j_m, J] + prop_ut * y_m
-        ind = (np.linalg.norm(y_end, axis=1) > q.radius).astype(float)
-        inner = np.einsum("mk,mk->m", prop_ut * b_m / np.sqrt(i_om), dz / np.sqrt(i_rec))
-        acc += ind * inner * prod
-
-    def descend(depth: int, j_prev: int, y_prev: np.ndarray, prod: np.ndarray) -> None:
-        """Extend the simplex from s_depth at node j_prev to s_{depth+1}.
-
-        Marches the next node b upward, maintaining the running interval
-        covariances over [tau_{j_prev}, tau_b] for the record and for
-        sub-path family order-depth.
-        """
-        fam = p_fam[order - depth]
-        b_prev = eval_field(q.field, frame.taus[j_prev], y_prev)
-        if sh is not None:
-            b_prev = b_prev - sh.value_at(frame.taus[j_prev])
-        run_rec = np.zeros((n_tuples, dim))
-        run_om = np.zeros((n_tuples, dim))
-        for b in range(j_prev + 1, J - (order - depth) + 1):
-            run_rec = e2h * run_rec + p_rec[:, b - 1]
-            run_om = e2h * run_om + fam[:, b - 1]
-            i_rec = np.maximum(diag ** 2 * run_rec, COV_FLOOR)
-            i_om = np.maximum(diag ** 2 * run_om, COV_FLOOR)
-            prop_ab = frame.prop[b - j_prev]
-            dz = diag * (chk[:, b] - prop_ab * chk[:, j_prev])
-            y_b = np.sqrt(i_om / i_rec) * dz + frame.F[j_prev, b] + prop_ab * y_prev
-            inner = np.einsum("mk,mk->m", prop_ab * b_prev / np.sqrt(i_om),
-                              dz / np.sqrt(i_rec))
-            prod_b = prod * inner
-            if depth + 1 < order:
-                descend(depth + 1, b, y_b, prod_b)
-            else:
-                close_tuple(b, y_b, prod_b)
-
-    ones = np.ones(n_tuples)
-    if order == 1:
-        for j1 in range(J):
-            close_tuple(j1, z_rec[:, j1], ones)
-    else:
-        for j1 in range(J - (order - 1)):
-            descend(1, j1, z_rec[:, j1], ones)
-
-    samples = frame.h ** order * acc
-    value, se = _mean_se(samples)
-    return IterateEstimate(value=value, std_error=se, n_samples=n_tuples,
-                           order=order, meta=_meta(q))
+    return _iterate(bank, spec, shift, q, order, mesh, n_tuples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -518,10 +460,7 @@ def ou_gradient(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShi
     # unit covariance over [s, t] per record, from the fine clock
     fine = bank.fine_grid
     lo, hi = fine.index_of(q.s), fine.index_of(q.t)
-    d = fine.step
-    lam = spec.lambdas
-    ages = np.arange(hi - 1 - lo, -1, -1.0)
-    w = np.exp(-2.0 * np.outer(ages, lam) * d) * phi1(2.0 * lam * d)
+    w = covariance_weights(spec.lambdas, fine.step, hi - lo)
     unit_cov = np.einsum("mb,bk->mk", np.diff(bank.record_clock_values[:, lo:hi + 1], axis=1), w)
     cov = np.maximum(diag ** 2 * unit_cov, COV_FLOOR)
     weight = np.einsum("mk,mk->m", (prop * direction) / cov, diag * unit_seg)

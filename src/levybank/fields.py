@@ -102,11 +102,3 @@ def eval_field(field: VectorFieldSpec, t: float, x: np.ndarray) -> np.ndarray:
         denom = cap + soft_max(soft_abs(d, field.sharpness), field.sharpness) ** 3
         return cap * d * np.abs(d) ** 2 / np.expand_dims(np.asarray(denom), -1)
     return np.asarray(field.custom_fn(t, x), dtype=float)
-
-
-def effective_drift(field: VectorFieldSpec, shift, t: float, x: np.ndarray) -> np.ndarray:
-    """B(t, x) = B0(t, x) - f(t); shift=None means f = 0."""
-    b = eval_field(field, t, x)
-    if shift is None:
-        return b
-    return b - shift.value_at(t)

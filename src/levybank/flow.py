@@ -72,27 +72,29 @@ def solve_flow(spec: ProblemSpec, field: VectorFieldSpec, s: float, x: np.ndarra
 
     flow = np.empty((grid.n_steps + 1, spec.dim))
     flow[: i_s + 1] = x
+    # f(t_i) = B0(t_i, x(t_i)): frozen points before s, then each step's first
+    # stage (or Euler slope), which is B0 at (t_i, x(t_i)), then the end point
+    shift_vals = np.empty_like(flow)
+    for i in range(i_s):
+        shift_vals[i] = eval_field(field, times[i], x)
+    y = x.copy()
     if method == "exp_rk4":
         e_full = np.exp(-lam * h)
         e_half = np.exp(-lam * (0.5 * h))
-        y = x.copy()
         for i in range(i_s, grid.n_steps):
             t = times[i]
-            n1 = eval_field(field, t, y)
+            n1 = shift_vals[i] = eval_field(field, t, y)
             n2 = eval_field(field, t + 0.5 * h, e_half * y + (0.5 * h) * e_half * n1)
             n3 = eval_field(field, t + 0.5 * h, e_half * y + (0.5 * h) * n2)
             n4 = eval_field(field, t + h, e_full * y + h * e_half * n3)
             y = e_full * y + (h / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
             flow[i + 1] = y
     else:
-        y = x.copy()
         for i in range(i_s, grid.n_steps):
-            y = y + h * (-lam * y + eval_field(field, times[i], y))
+            slope = shift_vals[i] = eval_field(field, times[i], y)
+            y = y + h * (-lam * y + slope)
             flow[i + 1] = y
-
-    shift_vals = np.empty_like(flow)
-    for i in range(grid.n_steps + 1):
-        shift_vals[i] = eval_field(field, times[i], flow[i])
+    shift_vals[-1] = eval_field(field, times[-1], flow[-1])
     return TimeShift(grid=grid, values=shift_vals, flow_values=flow, origin=(s, x))
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProblemSpec, TimeGrid
+from .core import TimeGrid
 
 _TINY = np.finfo(float).tiny
 
@@ -43,10 +43,6 @@ class SubordinatorPath:
     grid: TimeGrid
     values: np.ndarray
     seed: int
-
-    def increments(self) -> np.ndarray:
-        """Per-bin increments dL_i, all positive, length grid.n_steps."""
-        return np.diff(self.values)
 
 
 def _validate_stable_params(alpha: float, gamma_bar: float, dt: float) -> None:
@@ -89,28 +85,6 @@ def sample_stable_increment(alpha: float, gamma_bar: float, dt: float,
     draws = increment_scale(alpha, gamma_bar, dt) * _standard_one_sided(alpha, rng, n)
     np.maximum(draws, _TINY, out=draws)
     return float(draws[0]) if size is None else draws
-
-
-def _path_from_rng(spec: ProblemSpec, grid: TimeGrid, rng: np.random.Generator,
-                   seed_key: int) -> SubordinatorPath:
-    incr = sample_stable_increment(spec.alpha, spec.gamma_bar, grid.step, rng,
-                                   size=grid.n_steps)
-    values = np.empty(grid.n_steps + 1)
-    values[0] = 0.0
-    np.cumsum(incr, out=values[1:])
-    return SubordinatorPath(grid=grid, values=values, seed=seed_key)
-
-
-def sample_subordinator_path(spec: ProblemSpec, grid: TimeGrid, seed: int) -> SubordinatorPath:
-    """Cumulative sums of independent stable increments over the grid.
-
-    Deterministic in (spec, grid, seed).  The grid must start at 0 and cover
-    the spec horizon.
-    """
-    if grid.start != 0.0 or grid.end < spec.horizon - 1e-9:
-        raise ValueError("grid must cover [0, horizon]")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    return _path_from_rng(spec, grid, rng, seed_key=int(seed))
 
 
 def laplace_exponent(alpha: float, gamma_bar: float, lam: float) -> float:

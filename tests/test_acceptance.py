@@ -105,9 +105,9 @@ def test_criterion_2_covariance_closed_form():
         assert rel < 1e-10, f"window ({u},{t}): worst relative error {rel:.2e}"
     # splitting identity cov(u,t) = e^{-2 lam (t-m)} cov(u,m) + cov(m,t),
     # exact on the deterministic clock and on a stochastic draw alike
-    from levybank.stable import sample_subordinator_path
+    drawn = generate_bank(spec, 1e-3, 1e-2, 1, 0, 3)
     split_worst = 0.0
-    for path in (det, sample_subordinator_path(spec, grid, seed=3)):
+    for path in (det, SubordinatorPath(grid=grid, values=drawn.sub_values[0], seed=0)):
         u, m, t = 0.1, 0.53, 0.98
         whole = covariance_integral(path, spec, 1.0, u, t)
         left = covariance_integral(path, spec, 1.0, u, m)

@@ -12,10 +12,9 @@ from scipy.stats import kstest
 import levybank.stable
 from levybank.bank import (FORMAT_VERSION, MAGIC, ConvolutionRecord, SimulationBank,
                            convolution_segment, covariance_integral, generate_bank,
-                           load_bank, load_call_count, ou_endpoint,
-                           reset_load_call_count, save_bank)
+                           load_bank, load_call_count, reset_load_call_count,
+                           save_bank)
 from levybank.core import ProblemSpec, TimeGrid, phi1
-from levybank.flow import forcing_convolution, solve_flow
 from levybank.stable import SubordinatorPath
 
 HEADER_FMT = "<4sI32sdddIQQQB7x"
@@ -68,6 +67,7 @@ def test_clock_paths_start_at_zero_and_increase(bank3):
     assert np.all(bank3.sub_values[:, 0] == 0.0)
     assert np.all(bank3.record_clock_values[:, 0] == 0.0)
     assert np.all(np.diff(bank3.sub_values, axis=1) > 0.0)
+    assert np.all(np.diff(bank3.record_clock_values, axis=1) > 0.0)
     assert np.all(bank3.record_checkpoints[:, 0, :] == 0.0)
 
 
@@ -170,20 +170,6 @@ def test_queries_never_invoke_sampler(spec3, bank3, monkeypatch):
     rec = bank3.record(0)
     covariance_integral(rec, spec3, 0.7, 0.0, 1.0)
     convolution_segment(rec, spec3, 0.7, 0.0, 1.0)
-    ou_endpoint(rec, spec3, 0.7, None, 0.0, np.zeros(3), 1.0)
-
-
-def test_ou_endpoint_decomposition(spec3, bank3):
-    from levybank.fields import sine_field
-
-    shift = solve_flow(spec3, sine_field(), 0.0, np.full(3, 0.3), TimeGrid(0.0, 1.0, 1e-3))
-    rec = bank3.record(9)
-    s, t, x = 0.2, 0.9, np.array([0.1, -0.4, 0.7])
-    got = ou_endpoint(rec, spec3, 0.8, shift, s, x, t)
-    want = np.exp(-spec3.lambdas * (t - s)) * x \
-        + forcing_convolution(spec3, shift, s, t) \
-        + convolution_segment(rec, spec3, 0.8, s, t)
-    assert np.array_equal(got, want)
 
 
 def test_checkpoint_index(bank3):
@@ -194,9 +180,7 @@ def test_checkpoint_index(bank3):
         bank3.checkpoint_index(0.375)
 
 
-def test_sub_path_and_record_views(bank3):
-    p = bank3.sub_path(4)
-    assert np.shares_memory(p.values, bank3.sub_values)
+def test_record_views(bank3):
     rec = bank3.record(4)
     assert np.shares_memory(rec.sub.values, bank3.record_clock_values)
     assert np.shares_memory(rec.conv_checkpoints, bank3.record_checkpoints)

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levybank.core import (DiagonalOperator, ProblemSpec, TimeGrid,
-                           covariance_deterministic_clock,
-                           indicator_observable, phi1, propagator,
+                           covariance_deterministic_clock, phi1,
                            squared_eigenvalues)
 
 
@@ -57,16 +56,6 @@ def test_content_hash_deterministic_and_sensitive():
     assert a.content_hash() != make_spec(horizon=2.0).content_hash()
 
 
-def test_propagator_values():
-    spec = make_spec(lambdas=np.array([0.5, 1.0, 1e4]))
-    got = propagator(spec, 1e-3)
-    want = [math.exp(-0.5e-3), math.exp(-1e-3), math.exp(-10.0)]
-    np.testing.assert_allclose(got, want, rtol=1e-15)
-    assert np.array_equal(propagator(spec, 0.0), np.ones(3))
-    with pytest.raises(ValueError):
-        propagator(spec, -0.1)
-
-
 def test_covariance_deterministic_clock_value():
     # sigma^2 (1 - e^{-2 lam tau}) / (2 lam) at lam=2, sigma=0.7, tau=0.3
     spec = make_spec(lambdas=np.array([2.0, 5.0, 9.0]),
@@ -82,14 +71,6 @@ def test_covariance_small_lambda_limit():
     spec = make_spec(lambdas=np.array([1e-10, 1.0, 2.0]))
     got = covariance_deterministic_clock(spec, 0.0, 0.4)
     assert got[0] == pytest.approx(0.4, rel=1e-9)
-
-
-def test_indicator_is_strict():
-    assert indicator_observable(np.array([3.0, 4.0]), 5.0) == 0.0
-    assert indicator_observable(np.array([3.0, 4.0 + 1e-9]), 5.0) == 1.0
-    assert indicator_observable(np.zeros(2), 5.0) == 0.0
-    with pytest.raises(ValueError):
-        indicator_observable(np.ones(2), 0.0)
 
 
 def test_phi1():

@@ -98,6 +98,27 @@ def test_shift_tabulates_field_along_flow():
         shift.value_at(0.1234567)  # off the tabulation grid
 
 
+def test_flow_evaluates_field_once_per_stage():
+    # The shift at t_i reuses the step's first stage, which is the field at
+    # (t_i, x(t_i)); only frozen points before s and the end point add calls.
+    calls = []
+
+    def sine(t, x):
+        calls.append(t)
+        return np.sin(x)
+
+    spec = make_spec([1.0, 2.0])
+    x = np.array([0.5, 1.0])
+    field = custom_field(sine, bound=1.0)
+    shift = solve_flow(spec, field, 0.0, x, GRID)
+    assert len(calls) == 4 * GRID.n_steps + 1
+    for t in (0.0, 0.5, 1.0):
+        np.testing.assert_array_equal(shift.value_at(t), np.sin(shift.flow_at(t)))
+    calls.clear()
+    solve_flow(spec, field, 0.25, x, GRID, method="euler")
+    assert len(calls) == GRID.n_steps + 1
+
+
 def test_solve_flow_validation():
     spec = make_spec([1.0])
     with pytest.raises(ValueError):

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
-from levybank.core import TimeGrid
 from levybank.stable import (_standard_one_sided, increment_scale,
                              laplace_exponent, sample_stable_increment,
-                             sample_subordinator_path, validate_sampler)
+                             validate_sampler)
 
 
 def rng_of(seed):
@@ -82,19 +81,6 @@ def test_scalar_draw():
     x = sample_stable_increment(0.75, 1.0, 1e-3, rng_of(1))
     assert np.isscalar(x) or np.ndim(x) == 0
     assert float(x) > 0.0
-
-
-def test_subordinator_path_properties(spec3):
-    grid = TimeGrid(0.0, 1.0, 1e-3)
-    path = sample_subordinator_path(spec3, grid, seed=12)
-    assert path.values.shape == (1001,)
-    assert path.values[0] == 0.0
-    assert (np.diff(path.values) > 0.0).all()
-    again = sample_subordinator_path(spec3, grid, seed=12)
-    np.testing.assert_array_equal(path.values, again.values)
-    other = sample_subordinator_path(spec3, grid, seed=13)
-    assert not np.array_equal(path.values, other.values)
-    np.testing.assert_allclose(path.increments(), np.diff(path.values))
 
 
 def test_increment_rank_independence():
