@@ -7,26 +7,33 @@ convolution int_0^t e^{(t-r)A} dW_{L_r}, stored only at coarse checkpoints.
 No sigma enters generation: queries scale by sigma at read time, which is what
 makes one bank serve every (s, x, sigma, drift) query.
 
-Per fine step i the record update for component k is
+Conditionally on the clock, the noise that coarse block b (fine bins
+i = bk .. bk+k-1, with k fine steps of length d per block) adds to component n
+is one centered Gaussian, so each block takes a single standard normal:
 
-    Z_{i+1} = e^{-lambda_k d} Z_i + sqrt(dL_i * (1-e^{-2 lambda_k d})/(2 lambda_k d)) * xi_{i,k}
+    Z_{b+1} = e^{-lambda_n d k} Z_b + sqrt(V_{b,n}) * xi_{b,n},
+    V_{b,n} = sum_j e^{-2 lambda_n d (k-1-j)} (1-e^{-2 lambda_n d})/(2 lambda_n d) dL_{bk+j}
 
-with d the fine step: conditionally on the clock, the convolution increment is
-Gaussian with variance int e^{-2 lambda (t-r)} dL_r, and the weight above is
-that integral under the "L linear within a bin" surrogate.  The covariance
-quadrature uses the same per-bin weights, so the two are consistent and both
-become exact in the deterministic-clock limit, which is the test oracle.
-W_L itself is never stored; every consumer needs only Ztilde and L.
+V is the covariance integral int e^{-2 lambda (t-r)} dL_r over the block under
+the "L linear within a bin" surrogate, i.e. dL_block @ covariance_weights.
+The covariance quadrature uses the same per-bin weights, so the two are
+consistent and both become exact in the deterministic-clock limit, which is
+the test oracle.  The recurrence runs in float64; precision 4 rounds only the
+stored values.  W_L itself is never stored; every consumer needs only Ztilde
+and L.
 
-File format (little endian, magic "LVIB", version 1):
+File format (little endian, magic "LVIB", version 2):
 
     magic[4] | u32 version | spec_hash[32] | f8 delta_fine | f8 delta_coarse |
     f8 horizon | u32 dim | u64 m_sub | u64 m_ou | u64 base_seed |
-    u8 precision (8 or 4) | pad[7]
+    u8 precision (8 or 4) | pad[11]
 
-followed by three contiguous little-endian sections: subordinator-only path
-values (m_sub x (n_fine+1), f8), record clock values (m_ou x (n_fine+1), f8),
-record checkpoints (m_ou x (n_chk+1) x dim, f8 or f4 per the precision flag).
+a 104-byte header, so the payload starts 8-byte aligned, followed by three
+contiguous little-endian sections: subordinator-only path values
+(m_sub x (n_fine+1), f8), record clock values (m_ou x (n_fine+1), f8), record
+checkpoints (m_ou x (n_chk+1) x dim, f8 or f4 per the precision flag).
+Version 1 (100-byte header, one normal per fine step) is refused: its
+checkpoints came from a different random stream.
 """
 
 from __future__ import annotations
@@ -37,14 +44,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (GRID_RTOL, DiagonalOperator, ProblemSpec, TimeGrid,
-                   covariance_weights, phi1)
+                   covariance_weights)
 from .stable import SubordinatorPath, sample_stable_increment
-from .streams import (DOMAIN_RECORD_CLOCK, DOMAIN_RECORD_GAUSS, DOMAIN_SUB_PATH,
-                      make_rng, stream_key)
+from .streams import (DOMAIN_RECORD_BLOCK_GAUSS, DOMAIN_RECORD_CLOCK,
+                      DOMAIN_SUB_PATH, make_rng, stream_key)
 
 MAGIC = b"LVIB"
-FORMAT_VERSION = 1
-_HEADER_FMT = "<4sI32sdddIQQQB7x"
+FORMAT_VERSION = 2
+_HEADER_FMT = "<4sI32sdddIQQQB11x"
 _HEADER_SIZE = struct.calcsize(_HEADER_FMT)
 
 # Number of load_bank calls since import (or the last reset); lets reuse tests
@@ -82,12 +89,18 @@ class BankHeader:
 
     @staticmethod
     def unpack(raw: bytes) -> "BankHeader":
-        magic, version, spec_hash, dfine, dcoarse, horizon, dim, m_sub, m_ou, seed, prec = \
-            struct.unpack(_HEADER_FMT, raw)
-        if magic != MAGIC:
-            raise ValueError(f"not a bank file (magic {magic!r})")
+        if len(raw) < 8 or raw[:4] != MAGIC:
+            raise ValueError(f"not a bank file (magic {raw[:4]!r})")
+        (version,) = struct.unpack_from("<I", raw, 4)
+        if version == 1:
+            raise ValueError("bank file format version 1 predates exact block sampling "
+                             "of the checkpoints; regenerate the bank")
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported bank format version {version}")
+        if len(raw) < _HEADER_SIZE:
+            raise ValueError("bank file is truncated (no header)")
+        _, _, spec_hash, dfine, dcoarse, horizon, dim, m_sub, m_ou, seed, prec = \
+            struct.unpack(_HEADER_FMT, raw)
         if prec not in (4, 8):
             raise ValueError(f"bad precision flag {prec}")
         return BankHeader(version=version, spec_hash=spec_hash, delta_fine=dfine,
@@ -131,7 +144,7 @@ class SimulationBank:
         sub = SubordinatorPath(grid=self.fine_grid, values=self.record_clock_values[i],
                                seed=stream_key(DOMAIN_RECORD_CLOCK, i))
         return ConvolutionRecord(sub=sub, conv_checkpoints=self.record_checkpoints[i],
-                                 seed=stream_key(DOMAIN_RECORD_GAUSS, i))
+                                 seed=stream_key(DOMAIN_RECORD_BLOCK_GAUSS, i))
 
     def checkpoint_index(self, t: float) -> int:
         """Index of a coarse checkpoint, or ValueError if t is off-grid."""
@@ -192,31 +205,18 @@ def generate_bank(spec: ProblemSpec, delta_fine: float, delta_coarse: float,
     for i in range(m_ou):
         record_clock[i] = clock_values(DOMAIN_RECORD_CLOCK, i)
 
-    # Checkpoint recurrence, blocked: within a coarse block of k fine steps the
-    # accumulated noise is sum_j e^{-lambda d (k-1-j)} sqrt(dL_j g2) xi_j with
-    # g2 = (1-e^{-2 lambda d})/(2 lambda d).
-    chk_dtype = np.float64 if precision == 8 else np.float32
-    record_chk = np.zeros((m_ou, n_blocks + 1, spec.dim), dtype=chk_dtype)
-    if m_ou:
-        sqrt_g2 = np.sqrt(phi1(2.0 * lam * d))
-        e1n = np.exp(-np.outer(d * np.arange(k_ratio - 1, -1, -1.0), lam)) * sqrt_g2  # (k, N)
-        decay_blk = np.exp(-lam * d * k_ratio)
-        chunk = max(1, int(16_000_000 // max(1, n_fine * spec.dim)))
-        for lo in range(0, m_ou, chunk):
-            hi = min(lo + chunk, m_ou)
-            c = hi - lo
-            xi = np.empty((c, n_fine, spec.dim))
-            for r in range(lo, hi):
-                xi[r - lo] = make_rng(base_seed, DOMAIN_RECORD_GAUSS, r) \
-                    .standard_normal((n_fine, spec.dim))
-            amp = np.sqrt(np.diff(record_clock[lo:hi], axis=1))  # (c, n_fine)
-            xi *= amp[:, :, None]
-            noise = np.einsum("cbjn,jn->cbn",
-                              xi.reshape(c, n_blocks, k_ratio, spec.dim), e1n)
-            z = np.zeros((c, spec.dim))
-            for b in range(n_blocks):
-                z = decay_blk * z + noise[:, b]
-                record_chk[lo:hi, b + 1] = z
+    # One normal per (block, mode), scaled by the block's conditional standard
+    # deviation; the recurrence then runs over all records at once.
+    chk = np.zeros((m_ou, n_blocks + 1, spec.dim))
+    block_weights = covariance_weights(lam, d, k_ratio)
+    for r in range(m_ou):
+        block_var = np.diff(record_clock[r]).reshape(n_blocks, k_ratio) @ block_weights
+        chk[r, 1:] = np.sqrt(block_var) * make_rng(
+            base_seed, DOMAIN_RECORD_BLOCK_GAUSS, r).standard_normal((n_blocks, spec.dim))
+    decay_blk = np.exp(-lam * d * k_ratio)
+    for b in range(n_blocks):
+        chk[:, b + 1] += decay_blk * chk[:, b]
+    record_chk = chk if precision == 8 else chk.astype(np.float32)
 
     header = BankHeader(version=FORMAT_VERSION, spec_hash=spec.content_hash(),
                         delta_fine=delta_fine, delta_coarse=delta_coarse,
@@ -266,16 +266,6 @@ def covariance_integral(record_or_path, spec: ProblemSpec, sigma_scale: float,
     return (sigma_scale * spec.sigmas) ** 2 * np.einsum("bk,b->k", weights, dl)
 
 
-def _checkpoint_index(record: ConvolutionRecord, t: float) -> int:
-    n_blocks = record.conv_checkpoints.shape[0] - 1
-    step = record.sub.grid.end / n_blocks
-    ratio = t / step
-    j = int(round(ratio))
-    if j < 0 or j > n_blocks or abs(ratio - j) > GRID_RTOL * max(1.0, abs(ratio)):
-        raise ValueError(f"time {t} is not a checkpoint (step {step})")
-    return j
-
-
 def convolution_segment(record: ConvolutionRecord, spec: ProblemSpec,
                         sigma_scale: float, s: float, t: float) -> np.ndarray:
     """sigma_scale * sqrt(Q) * (Ztilde_t - e^{(t-s)A} Ztilde_s), checkpoints only.
@@ -283,7 +273,9 @@ def convolution_segment(record: ConvolutionRecord, spec: ProblemSpec,
     Equals the stochastic integral int_s^t e^{(t-r)A} sqrt(Q) dW_{L_r} for this
     record.  s and t must be coarse checkpoints with s <= t; s = t gives 0.
     """
-    js, jt = _checkpoint_index(record, s), _checkpoint_index(record, t)
+    end = record.sub.grid.end
+    checkpoints = TimeGrid(0.0, end, end / (record.conv_checkpoints.shape[0] - 1))
+    js, jt = checkpoints.index_of(s), checkpoints.index_of(t)
     if js > jt:
         raise ValueError(f"need s <= t, got s={s}, t={t}")
     chk = record.conv_checkpoints
@@ -311,10 +303,7 @@ def load_bank(path, expected_spec: ProblemSpec | None = None) -> SimulationBank:
     global _load_calls
     _load_calls += 1
     with open(path, "rb") as fh:
-        raw = fh.read(_HEADER_SIZE)
-        if len(raw) < _HEADER_SIZE:
-            raise ValueError(f"bank file {path} is truncated (no header)")
-        header = BankHeader.unpack(raw)
+        header = BankHeader.unpack(fh.read(_HEADER_SIZE))
         if expected_spec is not None and header.spec_hash != expected_spec.content_hash():
             raise ValueError("bank was generated under a different problem spec")
         n_fine = int(round(header.horizon / header.delta_fine))

@@ -366,22 +366,34 @@ def _iterate(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShift]
 # Iterates
 
 
+def _ou_endpoint(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShift],
+                 q: QueryParams) -> tuple:
+    """Per record, the OU endpoint's exit indicator and the pieces that build it.
+
+    The endpoint is e^{(t-s)A} x + F_{s,t} + sigma sqrt(Q) (chk_t - e^{(t-s)A}
+    chk_s); returns (indicator, unit segment chk_t - e^{(t-s)A} chk_s,
+    e^{(t-s)A}, sigma sqrt(Q)).
+    """
+    sh = _effective_shift(shift, q)
+    js, jt = bank.checkpoint_index(q.s), bank.checkpoint_index(q.t)
+    chk = bank.record_checkpoints
+    prop = np.exp(-spec.lambdas * (q.t - q.s))
+    diag = q.sigma_scale * spec.sigmas
+    unit_seg = np.asarray(chk[:, jt, :], dtype=float) \
+        - prop * np.asarray(chk[:, js, :], dtype=float)
+    f_st = forcing_convolution(spec, sh, q.s, q.t) if sh is not None else 0.0
+    endpoint = prop * q.x + f_st + diag * unit_seg
+    ind = (np.linalg.norm(endpoint, axis=1) > q.radius).astype(float)
+    return ind, unit_seg, prop, diag
+
+
 def v0_estimate(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShift],
                 q: QueryParams) -> IterateEstimate:
     """v^0 = mean of the indicator at the OU endpoint, over all bank records."""
     _check_bank(bank, spec)
-    sh = _effective_shift(shift, q)
-    js, jt = bank.checkpoint_index(q.s), bank.checkpoint_index(q.t)
     if bank.m_ou < 2:
         raise ValueError("bank holds too few records for v0")
-    chk = bank.record_checkpoints
-    prop = np.exp(-spec.lambdas * (q.t - q.s))
-    f_st = forcing_convolution(spec, sh, q.s, q.t) if sh is not None else 0.0
-    endpoint = prop * q.x + f_st \
-        + q.sigma_scale * spec.sigmas * (np.asarray(chk[:, jt, :], dtype=float)
-                                         - prop * np.asarray(chk[:, js, :], dtype=float))
-    ind = (np.linalg.norm(endpoint, axis=1) > q.radius).astype(float)
-    value, se = _mean_se(ind)
+    value, se = _mean_se(_ou_endpoint(bank, spec, shift, q)[0])
     return IterateEstimate(value=value, std_error=se, n_samples=bank.m_ou,
                            order=0, meta=_meta(q))
 
@@ -446,17 +458,8 @@ def ou_gradient(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShi
     differences.
     """
     _check_bank(bank, spec)
-    sh = _effective_shift(shift, q)
     direction = np.ascontiguousarray(direction, dtype=float)
-    js, jt = bank.checkpoint_index(q.s), bank.checkpoint_index(q.t)
-    chk = bank.record_checkpoints
-    prop = np.exp(-spec.lambdas * (q.t - q.s))
-    diag = q.sigma_scale * spec.sigmas
-    unit_seg = np.asarray(chk[:, jt, :], dtype=float) \
-        - prop * np.asarray(chk[:, js, :], dtype=float)
-    f_st = forcing_convolution(spec, sh, q.s, q.t) if sh is not None else 0.0
-    endpoint = prop * q.x + f_st + diag * unit_seg
-    ind = (np.linalg.norm(endpoint, axis=1) > q.radius).astype(float)
+    ind, unit_seg, prop, diag = _ou_endpoint(bank, spec, shift, q)
     # unit covariance over [s, t] per record, from the fine clock
     fine = bank.fine_grid
     lo, hi = fine.index_of(q.s), fine.index_of(q.t)

@@ -3,8 +3,8 @@
 Every stochastic object in the engine draws from its own numpy Generator whose
 SeedSequence entropy is the tuple (base_seed, domain, index).  Domains separate
 the independent families (subordinator-only paths, record clocks, record
-Gaussians, benchmark paths, ...); the index enumerates objects within a family.
-The derivation is injective because SeedSequence hashes the entropy tuple
+block Gaussians, benchmark paths, ...); the index enumerates objects within a
+family.  The derivation is injective because SeedSequence hashes the entropy tuple
 componentwise, so path i of a bank can be regenerated in isolation and distinct
 objects never share a stream.
 
@@ -20,10 +20,11 @@ import numpy as np
 # changes every generated path.
 DOMAIN_SUB_PATH = 1       # subordinator-only paths (the omega_0.. draws)
 DOMAIN_RECORD_CLOCK = 2   # the clock L of a convolution record
-DOMAIN_RECORD_GAUSS = 3   # the Gaussian increments of a convolution record
+DOMAIN_RECORD_GAUSS = 3   # reserved: per-fine-step normals of format-1 banks
 DOMAIN_BENCHMARK = 4      # Euler-Maruyama benchmark paths
 DOMAIN_VALIDATE = 5       # sampler validation draws
 DOMAIN_SELECTION = 6      # estimator subsample/pairing permutations
+DOMAIN_RECORD_BLOCK_GAUSS = 7  # one normal per (checkpoint block, mode) of a record
 
 _MAX_INDEX = 1 << 56
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+import levybank.bank
 import levybank.stable
 from levybank.bank import (FORMAT_VERSION, MAGIC, ConvolutionRecord, SimulationBank,
                            convolution_segment, covariance_integral, generate_bank,
@@ -16,8 +17,9 @@ from levybank.bank import (FORMAT_VERSION, MAGIC, ConvolutionRecord, SimulationB
                            save_bank)
 from levybank.core import ProblemSpec, TimeGrid, phi1
 from levybank.stable import SubordinatorPath
+from levybank.streams import DOMAIN_RECORD_BLOCK_GAUSS
 
-HEADER_FMT = "<4sI32sdddIQQQB7x"
+HEADER_FMT = "<4sI32sdddIQQQB11x"
 
 
 def closed_form_covariance(lam, sigma, tau):
@@ -151,6 +153,50 @@ def test_checkpoint_law_is_gaussian(spec2):
             assert kstest(z[:, k], "norm").pvalue > 0.01
 
 
+def test_block_increments_are_gaussian(spec2):
+    # Each block's increment chk[j+1] - e^{-lambda Delta} chk[j] is the noise of
+    # that block alone: standardized by the covariance integral over the block
+    # it must be N(0, 1) for every block and mode (Bonferroni over all tests),
+    # and pooled over the blocks of each mode, which has the power to see a
+    # variance taken from the wrong block.
+    bank = generate_bank(spec2, 1e-3, 1e-2, 0, 600, 315)
+    n_blocks = bank.record_checkpoints.shape[1] - 1
+    delta = bank.header.delta_coarse
+    chk = np.asarray(bank.record_checkpoints)
+    incr = chk[:, 1:] - np.exp(-spec2.lambdas * delta) * chk[:, :-1]
+    var = np.array([[covariance_integral(bank.record(i), spec2, 1.0, j * delta, (j + 1) * delta)
+                     for j in range(n_blocks)] for i in range(bank.m_ou)])
+    z = incr / np.sqrt(var)
+    level = 0.01 / (n_blocks * spec2.dim)
+    for k in range(spec2.dim):
+        assert kstest(z[:, :, k].ravel(), "norm").pvalue > 0.01, k
+        for j in range(n_blocks):
+            assert kstest(z[:, j, k], "norm").pvalue > level, (j, k)
+
+
+def test_one_normal_per_block_and_mode(spec3, monkeypatch):
+    # Each record's Gaussian stream is asked for exactly n_blocks * dim normals.
+    counts = {}
+    make_rng = levybank.bank.make_rng
+
+    class Counting:
+        def __init__(self, key, rng):
+            self.key, self.rng = key, rng
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def standard_normal(self, size=None, **kwargs):
+            counts[self.key] = counts.get(self.key, 0) + int(np.prod(size or 1))
+            return self.rng.standard_normal(size, **kwargs)
+
+    monkeypatch.setattr(levybank.bank, "make_rng",
+                        lambda *key: Counting(key, make_rng(*key)))
+    generate_bank(spec3, 1e-3, 1e-2, 3, 5, 11)
+    gauss = {key: n for key, n in counts.items() if key[1] == DOMAIN_RECORD_BLOCK_GAUSS}
+    assert gauss == {(11, DOMAIN_RECORD_BLOCK_GAUSS, r): 100 * 3 for r in range(5)}
+
+
 def test_sigma_rescaling_is_exact(spec3, bank3):
     rec = bank3.record(5)
     cov1 = covariance_integral(rec, spec3, 1.0, 0.0, 1.0)
@@ -215,9 +261,12 @@ def test_save_load_roundtrip(tmp_path, spec3, bank3):
 
 def test_half_precision_roundtrip(tmp_path, spec3):
     bank = generate_bank(spec3, 1e-3, 1e-2, 2, 20, 7, precision=4)
+    full = generate_bank(spec3, 1e-3, 1e-2, 2, 20, 7)
+    # The recurrence runs in float64 at either precision; 4 rounds the result.
+    assert np.array_equal(bank.record_checkpoints, full.record_checkpoints.astype(np.float32))
     p8 = tmp_path / "full.lvib"
     p4 = tmp_path / "half.lvib"
-    save_bank(generate_bank(spec3, 1e-3, 1e-2, 2, 20, 7), p8)
+    save_bank(full, p8)
     save_bank(bank, p4)
     assert p4.stat().st_size < p8.stat().st_size
     loaded = load_bank(p4, expected_spec=spec3)
@@ -248,6 +297,18 @@ def test_load_rejects_garbage(tmp_path, spec3, bank3):
         load_bank(bad_magic)
 
 
+def test_load_rejects_format_version_1(tmp_path, spec3):
+    # A version-1 file: 100-byte header, then a payload of the stated size.
+    bank = generate_bank(spec3, 1e-3, 1e-2, 1, 1, 0)
+    header = struct.pack("<4sI32sdddIQQQB7x", MAGIC, 1, spec3.content_hash(),
+                         1e-3, 1e-2, 1.0, 3, 1, 1, 0, 8)
+    path = tmp_path / "v1.lvib"
+    path.write_bytes(header + bank.sub_values.tobytes() + bank.record_clock_values.tobytes()
+                     + bank.record_checkpoints.tobytes())
+    with pytest.raises(ValueError, match="predates exact block sampling.*regenerate"):
+        load_bank(path)
+
+
 def test_load_rejects_wrong_spec(tmp_path, spec3, bank3):
     path = tmp_path / "bank.lvib"
     save_bank(bank3, path)
@@ -265,11 +326,11 @@ def test_file_layout_golden(tmp_path, spec3, bank3):
     save_bank(bank3, path)
     raw = path.read_bytes()
     head = struct.calcsize(HEADER_FMT)
-    assert head == 100
+    assert head == 104
     (magic, version, spec_hash, d_fine, d_coarse, horizon,
      dim, m_sub, m_ou, seed, precision) = struct.unpack(HEADER_FMT, raw[:head])
     assert magic == MAGIC == b"LVIB"
-    assert version == FORMAT_VERSION == 1
+    assert version == FORMAT_VERSION == 2
     assert spec_hash == spec3.content_hash()
     assert (d_fine, d_coarse, horizon) == (1e-3, 1e-2, 1.0)
     assert (dim, m_sub, m_ou, seed, precision) == (3, 400, 400, 99, 8)

@@ -3,19 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levybank.streams import (DOMAIN_BENCHMARK, DOMAIN_RECORD_CLOCK,
-                              DOMAIN_RECORD_GAUSS, DOMAIN_SELECTION,
-                              DOMAIN_SUB_PATH, DOMAIN_VALIDATE, make_rng,
-                              seed_sequence, stream_key)
+from levybank.streams import (DOMAIN_BENCHMARK, DOMAIN_RECORD_BLOCK_GAUSS,
+                              DOMAIN_RECORD_CLOCK, DOMAIN_RECORD_GAUSS,
+                              DOMAIN_SELECTION, DOMAIN_SUB_PATH, DOMAIN_VALIDATE,
+                              make_rng, seed_sequence, stream_key)
 
 ALL_DOMAINS = (DOMAIN_SUB_PATH, DOMAIN_RECORD_CLOCK, DOMAIN_RECORD_GAUSS,
-               DOMAIN_BENCHMARK, DOMAIN_VALIDATE, DOMAIN_SELECTION)
+               DOMAIN_BENCHMARK, DOMAIN_VALIDATE, DOMAIN_SELECTION,
+               DOMAIN_RECORD_BLOCK_GAUSS)
 
 
 def test_domains_are_distinct_and_part_of_the_file_contract():
     assert len(set(ALL_DOMAINS)) == len(ALL_DOMAINS)
-    # frozen values: changing any of these silently changes every bank
-    assert ALL_DOMAINS == (1, 2, 3, 4, 5, 6)
+    # frozen values: changing any of these silently changes every bank;
+    # 3 drew format-1 checkpoints and stays reserved
+    assert ALL_DOMAINS == (1, 2, 3, 4, 5, 6, 7)
 
 
 def test_stream_key_packing():
