@@ -36,6 +36,7 @@ Conventions shared by the iterate estimators:
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -50,6 +51,7 @@ from .streams import DOMAIN_BENCHMARK, DOMAIN_SELECTION, make_rng
 
 COV_FLOOR = 1e-300
 BENCHMARK_METHODS = ("exp", "euler")
+EM_CHUNK_BYTES = 2 << 20   # benchmark noise handed over per chunk of steps
 
 
 @dataclass(frozen=True)
@@ -140,6 +142,18 @@ def _selection(seed: Optional[int], m_avail: int, n_take: int,
 # Euler-Maruyama benchmark
 
 
+def _em_noise(spec: ProblemSpec, d: float, rng: np.random.Generator,
+              weight: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill out[k] with step k's noise (weight sqrt(dL)) xi, drawing dL then xi per step."""
+    scale = np.empty(out.shape[1:])
+    for step in out:
+        dl = sample_stable_increment(spec.alpha, spec.gamma_bar, d, rng, size=out.shape[1])
+        rng.standard_normal(out=step)
+        np.multiply(weight, np.sqrt(dl)[:, None], out=scale)
+        step *= scale
+    return out
+
+
 def em_benchmark_series(spec: ProblemSpec, q: QueryParams, t_list, n_paths: int,
                         delta_em: float, seed: int, method: str = "exp") -> list[IterateEstimate]:
     """Benchmark probabilities at several times from one batch of paths.
@@ -154,6 +168,15 @@ def em_benchmark_series(spec: ProblemSpec, q: QueryParams, t_list, n_paths: int,
     stable for any lambda*delta.  method "euler" is the plain explicit scheme
     X += (AX + B0) d + sigma sqrt(dL) xi, for replicating runs with
     lambda*delta <= 1; it diverges when lambda*delta > 2.
+
+    The draws never depend on the state, so one helper thread owns the
+    generator and draws the noise of the next chunk of steps (about
+    EM_CHUNK_BYTES) while this thread advances the state through the current
+    one.  The stream is drawn in the same order (dL then xi, step by step) and
+    every operation keeps its order, so the values do not depend on the chunk
+    size.  The CLI's --threads (BLAS/OpenMP) does not govern this thread.  The
+    state is updated in place: the drift sees a buffer that the step
+    overwrites after the call.
     """
     if method not in BENCHMARK_METHODS:
         raise ValueError(f"unknown benchmark method {method!r}")
@@ -171,28 +194,41 @@ def em_benchmark_series(spec: ProblemSpec, q: QueryParams, t_list, n_paths: int,
         steps[k] = t
     n_steps = max(steps)
     lam, d = spec.lambdas, delta_em
-    diag = q.sigma_scale * spec.sigmas
+    noise_w = q.sigma_scale * spec.sigmas
     if method == "exp":
         e1 = np.exp(-lam * d)
         drift_w = d * phi1(lam * d)
-        noise_w = diag * np.sqrt(phi1(2.0 * lam * d))
+        noise_w = noise_w * np.sqrt(phi1(2.0 * lam * d))
     rng = make_rng(seed, DOMAIN_BENCHMARK, 0)
     x_state = np.broadcast_to(q.x, (n_paths, spec.dim)).copy()
+    scratch = np.empty_like(x_state)
+    per_chunk = max(1, EM_CHUNK_BYTES // x_state.nbytes)
+    buffers = [np.empty((min(per_chunk, n_steps),) + x_state.shape) for _ in range(2)]
     out = {}
-    for i in range(n_steps):
-        t_i = q.s + i * d
-        dl = sample_stable_increment(spec.alpha, spec.gamma_bar, d, rng, size=n_paths)
-        xi = rng.standard_normal((n_paths, spec.dim))
-        drift = eval_field(q.field, t_i, x_state)
-        if method == "exp":
-            x_state = e1 * x_state + drift_w * drift \
-                + noise_w * np.sqrt(dl)[:, None] * xi
-        else:
-            x_state = x_state + d * (-lam * x_state + drift) \
-                + diag * np.sqrt(dl)[:, None] * xi
-        if (i + 1) in steps:
-            ind = (np.linalg.norm(x_state, axis=1) > q.radius).astype(float)
-            out[steps[i + 1]] = ind
+    with ThreadPoolExecutor(1) as helper:
+        def draw(lo: int):
+            chunk = buffers[lo // per_chunk % 2][:min(per_chunk, n_steps - lo)]
+            return helper.submit(_em_noise, spec, d, rng, noise_w, chunk)
+
+        pending = draw(0)
+        for lo in range(0, n_steps, per_chunk):
+            noise = pending.result()
+            if lo + per_chunk < n_steps:
+                pending = draw(lo + per_chunk)
+            for i, step_noise in enumerate(noise, lo):
+                drift = eval_field(q.field, q.s + i * d, x_state)
+                if method == "exp":   # ((e1 x) + (w B)) + noise
+                    np.multiply(drift_w, drift, out=scratch)
+                    np.multiply(e1, x_state, out=x_state)
+                else:                 # (x + d ((-lam x) + B)) + noise
+                    np.multiply(-lam, x_state, out=scratch)
+                    scratch += drift
+                    scratch *= d
+                x_state += scratch
+                x_state += step_noise
+                if (i + 1) in steps:
+                    ind = (np.linalg.norm(x_state, axis=1) > q.radius).astype(float)
+                    out[steps[i + 1]] = ind
     results = []
     for t in t_list:
         value, se = _mean_se(out[t])

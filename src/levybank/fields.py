@@ -32,9 +32,13 @@ def soft_max(x: np.ndarray, a: float) -> np.ndarray:
     if a <= 0.0:
         raise ValueError(f"sharpness must be positive, got {a}")
     x = np.asarray(x, dtype=float)
-    shift = x.max(axis=-1, keepdims=True)
-    w = np.exp(a * (x - shift))
-    out = (x * w).sum(axis=-1) / w.sum(axis=-1)
+    z = x - x.max(axis=-1, keepdims=True)
+    z *= a
+    # exp is exactly +0.0 below -745.14; skipping those entries avoids numpy's
+    # slow underflow path (most of them at a = 1e4) and changes no bit.
+    w = np.zeros_like(z)
+    np.exp(z, out=w, where=z > -750.0)
+    out = np.multiply(x, w, out=z).sum(axis=-1) / w.sum(axis=-1)
     return float(out) if out.ndim == 0 else out
 
 

@@ -174,6 +174,31 @@ def test_block_increments_are_gaussian(spec2):
             assert kstest(z[:, j, k], "norm").pvalue > level, (j, k)
 
 
+def test_consecutive_checkpoints_decay_by_one_block():
+    # Given the clock, Cov(chk[j+1], chk[j]) = e^{-lambda Delta} Var(chk[j]), so
+    # chk[j] (chk[j+1] - e^{-lambda Delta} chk[j]) has mean zero.  Divided by
+    # sqrt(V_j v_j), with V_j the variance over [0, tau_j] and v_j over the
+    # block, each term is a product of two independent N(0, 1); terms are
+    # uncorrelated, so the mean over records and blocks has standard error
+    # 1/sqrt(count).  At lambda Delta = 1 a block decay short by one fine step
+    # (e^{-0.9} for e^{-1}) moves that mean by 14 standard errors at this seed.
+    spec = ProblemSpec(alpha=0.75, gamma_bar=1.0, dim=2, lambdas=np.array([1.0, 100.0]),
+                       sigmas=np.ones(2), horizon=1.0)
+    bank = generate_bank(spec, 1e-3, 1e-2, 0, 400, 316)
+    chk = np.asarray(bank.record_checkpoints)
+    n_blocks, delta = chk.shape[1] - 1, bank.header.delta_coarse
+    v = np.array([[covariance_integral(bank.record(i), spec, 1.0, j * delta, (j + 1) * delta)
+                   for j in range(n_blocks)] for i in range(bank.m_ou)])
+    decay = np.exp(-spec.lambdas * delta)
+    big_v = np.zeros_like(v)
+    for j in range(1, n_blocks):
+        big_v[:, j] = decay ** 2 * big_v[:, j - 1] + v[:, j - 1]
+    terms = chk[:, 1:-1] * (chk[:, 2:] - decay * chk[:, 1:-1]) \
+        / np.sqrt(big_v[:, 1:] * v[:, 1:])
+    se = 1.0 / math.sqrt(terms.shape[0] * terms.shape[1])
+    assert np.all(np.abs(terms.mean(axis=(0, 1))) < 4.0 * se), terms.mean(axis=(0, 1)) / se
+
+
 def test_one_normal_per_block_and_mode(spec3, monkeypatch):
     # Each record's Gaussian stream is asked for exactly n_blocks * dim normals.
     counts = {}

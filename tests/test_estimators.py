@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
+import levybank.estimators as estimators
 from levybank.bank import generate_bank
 from levybank.core import ProblemSpec, TimeGrid
 from levybank.estimators import (IterateEstimate, QueryParams, em_benchmark,
                                  em_benchmark_series, ou_gradient, partial_sums,
                                  v0_estimate, v1_estimate, vn_estimate)
-from levybank.fields import sine_field, zero_field
+from levybank.fields import custom_field, sine_field, zero_field
 from levybank.flow import solve_flow
 
 # Closed form for the deterministic-clock one-mode case: the endpoint is
@@ -109,6 +111,47 @@ def test_em_validation(spec1, q_sine):
         em_benchmark(spec1, q_sine, 1, 1e-2, 0)
     with pytest.raises(ValueError):
         em_benchmark(spec1, q_sine, 100, 1e-2, 0, method="heun")
+
+
+class Planted(Exception):
+    pass
+
+
+def test_em_draw_error_surfaces_and_helper_ends(spec1, q_sine, monkeypatch):
+    # The 7th draw fails on the helper thread, in the third chunk of three
+    # steps; em_benchmark must raise that exception and leave no thread behind.
+    draw, planted, calls = estimators.sample_stable_increment, Planted("draw 7"), []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 7:
+            raise planted
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "EM_CHUNK_BYTES", 3 * 100 * 8)
+    monkeypatch.setattr(estimators, "sample_stable_increment", failing)
+    before = threading.active_count()
+    with pytest.raises(Planted) as info:
+        em_benchmark(spec1, q_sine, 100, 1e-2, 0)
+    assert info.value is planted
+    assert threading.active_count() == before
+    assert len(calls) == 7
+
+
+def test_em_drift_error_stops_helper(spec1, monkeypatch):
+    # A drift failing on the main thread mid-run also leaves no thread behind.
+    def drift(t, x):
+        if t > 0.05:
+            raise Planted("drift")
+        return np.sin(x)
+
+    q = QueryParams(s=0.0, t=1.0, x=np.array([0.4]), sigma_scale=0.5, radius=1.0,
+                    field=custom_field(drift, 1.0), use_shift=False)
+    monkeypatch.setattr(estimators, "EM_CHUNK_BYTES", 3 * 100 * 8)
+    before = threading.active_count()
+    with pytest.raises(Planted):
+        em_benchmark(spec1, q, 100, 1e-2, 0)
+    assert threading.active_count() == before
 
 
 def test_em_methods_agree(spec1, q_sine):

@@ -20,6 +20,31 @@ def test_soft_max_values():
     assert np.isfinite(soft_max(np.array([500.0, 900.0]), 1e4))
 
 
+def plain_soft_max(x, a):
+    """The max-shifted formula with exp over every entry."""
+    w = np.exp(a * (x - x.max(axis=-1, keepdims=True)))
+    return (x * w).sum(axis=-1) / w.sum(axis=-1)
+
+
+@pytest.mark.parametrize("a", [1.0, 1e4])
+@pytest.mark.parametrize("shape", [(7,), (40, 100), (3, 5, 100)])
+def test_soft_max_bitwise_equals_plain_formula(a, shape):
+    # soft_max skips the exponentials that underflow to +0.0; no bit may move.
+    def same_bits(x):
+        got = np.asarray(soft_max(x, a), dtype=float)
+        assert got.tobytes() == np.asarray(plain_soft_max(x, a)).tobytes()
+
+    rng = np.random.default_rng(2024)
+    for scale in (1e-3, 0.3, 5.0):
+        same_bits(rng.normal(0.0, scale, shape))
+        same_bits(np.abs(rng.normal(0.0, scale, shape)))
+    same_bits(np.full(shape, 0.37))                     # all-equal rows
+    # exponents a (x - max) straddling the underflow threshold near -745.13
+    z = np.array([0.0, -744.9, -745.1, -745.13, -745.14, -745.2, -749.9, -750.0, -750.1])
+    same_bits(np.resize(z / a, shape))
+    same_bits(np.resize(z[::-1] / a + 0.25, shape))
+
+
 def test_soft_abs_values():
     assert soft_abs(0.5, 2.0) == pytest.approx(0.3807970779778824, rel=1e-14)
     assert soft_abs(0.0, 1e4) == 0.0

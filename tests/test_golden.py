@@ -1,4 +1,4 @@
-"""Golden values for the bank, the shift flow and the bank-based estimators.
+"""Golden values for the bank, the shift flow, the estimators and the reference.
 
 The constants were recorded on the shared small bank of conftest.py (dim 3,
 400 + 400 records, seed 99) with numpy 2.4 on x86-64.  The flow digests date
@@ -10,7 +10,10 @@ of its format-1 value).  They pin that refactors keep every value:
 
 * the bank bytes, the shift flow, v1 and the gradient bitwise;
 * vn at orders 2 and 3 within 1e-12 relative, because a different walk over
-  the simplex may sum the same terms in a different order.
+  the simplex may sum the same terms in a different order;
+* the Euler-Maruyama reference bitwise: its (value, std_error) and a digest of
+  every state its drift sees, recorded before the reference drew its noise on
+  a helper thread, whatever the chunk size.
 
 A numpy release that changes the summation order of einsum or of reductions
 would move the bitwise constants; re-record them from a tree whose values are
@@ -21,13 +24,17 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import sys
+
+import levybank.estimators as estimators
 
 import numpy as np
 import pytest
 
 from levybank.core import TimeGrid
-from levybank.estimators import QueryParams, ou_gradient, v1_estimate, vn_estimate
-from levybank.fields import bounded_cubic_field, sine_field
+from levybank.estimators import (QueryParams, em_benchmark_series, ou_gradient,
+                                 v1_estimate, vn_estimate)
+from levybank.fields import bounded_cubic_field, custom_field, sine_field
 from levybank.flow import solve_flow
 
 X = np.array([0.5, -0.3, 0.2])
@@ -55,11 +62,46 @@ VN = [
     (3, 0.1, CUBIC, False, 3, -0.03995544727860638, 0.292580832137836),
 ]
 GRADIENT = (0.05807740335188382, 0.0151811524588853)
+# (field, method) -> (value, std_error) at t = 0.5 and 1.0 of em_benchmark_series
+# on 300 paths, step 1e-2, seed 17; the cubic is CUBIC at sharpness 1e4
+EM = {
+    ("sine", "exp"): [(0.3433333333333333, 0.027459642357098978),
+                      (0.52, 0.028892604740584603)],
+    ("sine", "euler"): [(0.35, 0.02758386421836852), (0.52, 0.028892604740584603)],
+    ("cubic", "exp"): [(0.3566666666666667, 0.02770216390105995),
+                       (0.5266666666666666, 0.02887459269508958)],
+    ("cubic", "euler"): [(0.36666666666666664, 0.027868673283383865),
+                         (0.53, 0.02886365132641704)],
+}
+# sha256 over (t, state) at every drift call of the same sine reference
+EM_STATES_SHA256 = {
+    "exp": "e62de9bc7e4b7754f35e3d752a56be2ceaf213376f6da905a620119716628829",
+    "euler": "cc0bcbb496dbc5448d1090d04c2840559d8a163002b47b8b68da99bbe1db145c",
+}
+EM_FIELDS = {"sine": SINE, "cubic": bounded_cubic_field(2.0, np.full(3, 2.0), 1e4)}
 
 
 def query(field, use_shift: bool) -> QueryParams:
     return QueryParams(s=0.2, t=1.0, x=X, sigma_scale=0.7, radius=1.0,
                        field=field, use_shift=use_shift)
+
+
+def em_series(spec, field, method):
+    est = em_benchmark_series(spec, query(field, False), [0.5, 1.0], 300, 1e-2, 17,
+                              method=method)
+    return [(e.value, e.std_error) for e in est]
+
+
+def em_states_digest(spec, method):
+    """Digest of every (t, state) the sine drift sees, and the reference's values."""
+    digest = hashlib.sha256()
+
+    def sine(t, x):
+        digest.update(np.float64(t).tobytes() + np.ascontiguousarray(x).tobytes())
+        return np.sin(x)
+
+    values = em_series(spec, custom_field(sine, 1.0), method)
+    return digest.hexdigest(), values
 
 
 def test_bank_bytes_golden(bank3):
@@ -109,3 +151,29 @@ def test_vn_leaves_no_reference_cycle(spec3, bank3):
     finally:
         gc.enable()
     assert unreachable == 0
+
+
+@pytest.mark.parametrize("method", ["exp", "euler"])
+def test_em_benchmark_golden_bitwise(spec3, method):
+    for name, field in EM_FIELDS.items():
+        assert em_series(spec3, field, method) == EM[name, method], name
+    assert em_states_digest(spec3, method) == (EM_STATES_SHA256[method], EM["sine", method])
+
+
+@pytest.mark.parametrize("chunk_steps", [1, 7, 80, 1000])
+def test_em_benchmark_independent_of_chunk_size(spec3, monkeypatch, chunk_steps):
+    # 80 steps: one step per chunk, chunks of 7 (which do not divide 80, so the
+    # last is short), exactly one chunk, and a chunk longer than the run.  A
+    # short switch interval makes the two threads interleave often, so a chunk
+    # buffer reused too early would show.
+    step_bytes = 300 * spec3.dim * 8
+    monkeypatch.setattr(estimators, "EM_CHUNK_BYTES", 1 if chunk_steps == 1
+                        else chunk_steps * step_bytes + step_bytes // 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for method in ("exp", "euler"):
+            assert em_states_digest(spec3, method) == (EM_STATES_SHA256[method],
+                                                        EM["sine", method]), method
+    finally:
+        sys.setswitchinterval(interval)
