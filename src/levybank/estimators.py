@@ -36,7 +36,7 @@ Conventions shared by the iterate estimators:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -142,6 +142,21 @@ def _selection(seed: Optional[int], m_avail: int, n_take: int,
 # Euler-Maruyama benchmark
 
 
+class _InlineDraws:
+    """Stands in for the helper thread: runs each submitted call at once."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+    def submit(self, fn, *args) -> Future:
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+
 def _em_noise(spec: ProblemSpec, d: float, rng: np.random.Generator,
               weight: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill out[k] with step k's noise (weight sqrt(dL)) xi, drawing dL then xi per step."""
@@ -174,9 +189,12 @@ def em_benchmark_series(spec: ProblemSpec, q: QueryParams, t_list, n_paths: int,
     EM_CHUNK_BYTES) while this thread advances the state through the current
     one.  The stream is drawn in the same order (dL then xi, step by step) and
     every operation keeps its order, so the values do not depend on the chunk
-    size.  The CLI's --threads (BLAS/OpenMP) does not govern this thread.  The
-    state is updated in place: the drift sees a buffer that the step
-    overwrites after the call.
+    size.  The CLI's --threads (BLAS/OpenMP) does not govern this thread.  A
+    zero drift leaves this thread nothing to overlap with the draws, which then
+    set the pace; the helper would only add GIL handoffs that make the run
+    time vary, so that field draws here, one step at a time.  The state is
+    updated in place: the drift sees a buffer that the step overwrites after
+    the call.
     """
     if method not in BENCHMARK_METHODS:
         raise ValueError(f"unknown benchmark method {method!r}")
@@ -202,10 +220,11 @@ def em_benchmark_series(spec: ProblemSpec, q: QueryParams, t_list, n_paths: int,
     rng = make_rng(seed, DOMAIN_BENCHMARK, 0)
     x_state = np.broadcast_to(q.x, (n_paths, spec.dim)).copy()
     scratch = np.empty_like(x_state)
-    per_chunk = max(1, EM_CHUNK_BYTES // x_state.nbytes)
+    overlap = q.field.kind != "zero"
+    per_chunk = max(1, EM_CHUNK_BYTES // x_state.nbytes) if overlap else 1
     buffers = [np.empty((min(per_chunk, n_steps),) + x_state.shape) for _ in range(2)]
     out = {}
-    with ThreadPoolExecutor(1) as helper:
+    with ThreadPoolExecutor(1) if overlap else _InlineDraws() as helper:
         def draw(lo: int):
             chunk = buffers[lo // per_chunk % 2][:min(per_chunk, n_steps - lo)]
             return helper.submit(_em_noise, spec, d, rng, noise_w, chunk)

@@ -13,7 +13,8 @@ of its format-1 value).  They pin that refactors keep every value:
   the simplex may sum the same terms in a different order;
 * the Euler-Maruyama reference bitwise: its (value, std_error) and a digest of
   every state its drift sees, recorded before the reference drew its noise on
-  a helper thread, whatever the chunk size.
+  a helper thread, whatever the chunk size (the zero field's values were
+  recorded before it went back to drawing on the calling thread).
 
 A numpy release that changes the summation order of einsum or of reductions
 would move the bitwise constants; re-record them from a tree whose values are
@@ -34,7 +35,7 @@ import pytest
 from levybank.core import TimeGrid
 from levybank.estimators import (QueryParams, em_benchmark_series, ou_gradient,
                                  v1_estimate, vn_estimate)
-from levybank.fields import bounded_cubic_field, custom_field, sine_field
+from levybank.fields import bounded_cubic_field, custom_field, sine_field, zero_field
 from levybank.flow import solve_flow
 
 X = np.array([0.5, -0.3, 0.2])
@@ -72,13 +73,18 @@ EM = {
                        (0.5266666666666666, 0.02887459269508958)],
     ("cubic", "euler"): [(0.36666666666666664, 0.027868673283383865),
                          (0.53, 0.02886365132641704)],
+    ("zero", "exp"): [(0.2633333333333333, 0.025471401031969185),
+                      (0.36666666666666664, 0.027868673283383865)],
+    ("zero", "euler"): [(0.2633333333333333, 0.025471401031969185),
+                        (0.37, 0.027921294063982024)],
 }
 # sha256 over (t, state) at every drift call of the same sine reference
 EM_STATES_SHA256 = {
     "exp": "e62de9bc7e4b7754f35e3d752a56be2ceaf213376f6da905a620119716628829",
     "euler": "cc0bcbb496dbc5448d1090d04c2840559d8a163002b47b8b68da99bbe1db145c",
 }
-EM_FIELDS = {"sine": SINE, "cubic": bounded_cubic_field(2.0, np.full(3, 2.0), 1e4)}
+EM_FIELDS = {"sine": SINE, "cubic": bounded_cubic_field(2.0, np.full(3, 2.0), 1e4),
+             "zero": zero_field()}
 
 
 def query(field, use_shift: bool) -> QueryParams:
@@ -177,3 +183,23 @@ def test_em_benchmark_independent_of_chunk_size(spec3, monkeypatch, chunk_steps)
                                                         EM["sine", method]), method
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("method", ["exp", "euler"])
+def test_em_zero_drift_draws_inline_bitwise(spec3, method, monkeypatch):
+    # The zero field draws on the calling thread, one step at a time; a drift
+    # that returns zeros through the helper path must give the same values at
+    # every step, and the zero field must start no thread.
+    zeros = custom_field(lambda t, x: np.zeros_like(x), 1.0)
+    times = [0.2 + k * 1e-2 for k in range(1, 81)]
+    threaded = em_benchmark_series(spec3, query(zeros, False), times, 300, 1e-2, 17,
+                                   method=method)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("the zero field started a helper thread")
+
+    monkeypatch.setattr(estimators, "ThreadPoolExecutor", no_thread)
+    inline = em_benchmark_series(spec3, query(zero_field(), False), times, 300, 1e-2, 17,
+                                 method=method)
+    assert [(e.value, e.std_error) for e in inline] == \
+        [(e.value, e.std_error) for e in threaded]
