@@ -22,10 +22,15 @@ Conventions shared by the iterate estimators:
   descends from t and streams the covariances of [s_m, t] one mesh bin at a
   time, each earlier node descends from the node after it and accumulates
   the covariances of its own interval, and at each leaf the state is pushed
-  forward from s through the chosen nodes.  At order 1 the walk holds only a
-  few (n, dim) panels; from order 2 on it keeps the per-bin covariances and
-  the node states, so the drift is evaluated once per node and once per
-  pushed state.
+  forward from s through the chosen nodes.  Each interval's factors that do
+  not depend on the state are built once, when the walk creates it; a leaf
+  only pushes the state.  The clocks are read one mesh bin at a time (k+1
+  values per selected row), so at order 1 the walk holds eleven (n, dim)
+  panels, reused throughout, two (J+1, dim) forcing tables and one bin of
+  clock values, whatever the fine step.  From order 2 on it also keeps the
+  per-bin covariances, the node states and F for every node pair, so the
+  drift is evaluated once per node and once per pushed state.  The drift may
+  be handed a panel that the walk overwrites after the call.
 * Covariance entries are floored at 1e-300 before inversion or square root;
   they are a.s. positive but can underflow for lambda = 1e4 when the clock
   puts almost no mass near the interval's right end.
@@ -52,6 +57,7 @@ from .streams import DOMAIN_BENCHMARK, DOMAIN_SELECTION, make_rng
 COV_FLOOR = 1e-300
 BENCHMARK_METHODS = ("exp", "euler")
 EM_CHUNK_BYTES = 2 << 20   # benchmark noise handed over per chunk of steps
+GRADIENT_BLOCK_BYTES = 1 << 20   # clock increments ou_gradient holds at once
 
 
 @dataclass(frozen=True)
@@ -125,17 +131,19 @@ def _check_bank(bank: SimulationBank, spec: ProblemSpec) -> None:
         raise ValueError("bank was generated under a different problem spec")
 
 
-def _selection(seed: Optional[int], m_avail: int, n_take: int,
-               which: int) -> np.ndarray:
-    """Deterministic index selection; identity when seed is None.
+def _selection(seed: Optional[int], m_avail: int, n: int, groups: int,
+               which: int) -> list:
+    """Row selectors of `groups` disjoint groups of n rows each.
 
-    which = 0 selects records, 1 selects subordinator paths (independent
-    permutations from the same seed).
+    When seed is None the rows are the first groups*n in order, as basic
+    slices (views, no copies); otherwise consecutive slices of one seeded
+    permutation.  which = 0 selects records, 1 selects subordinator paths
+    (independent permutations from the same seed).
     """
     if seed is None:
-        return np.arange(n_take)
-    rng = make_rng(seed, DOMAIN_SELECTION, which)
-    return rng.permutation(m_avail)[:n_take]
+        return [slice(g * n, (g + 1) * n) for g in range(groups)]
+    perm = make_rng(seed, DOMAIN_SELECTION, which).permutation(m_avail)
+    return [perm[g * n:(g + 1) * n] for g in range(groups)]
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +277,21 @@ def em_benchmark(spec: ProblemSpec, q: QueryParams, n_paths: int, delta_em: floa
 
 
 class _MeshFrame:
-    """Grid bookkeeping, lookup tables and selected samples for one iterate call.
+    """Grid bookkeeping, lookup tables, selected samples and panels for one iterate call.
 
     Provides, for mesh nodes tau_j = s + j*h (tau_J = t):
-      prop[m]   e^{-lambda m h}                                  (J+1, N)
-      prop2[m]  e^{-2 lambda m h}                                (J+1, N)
-      F[a, b]   forcing convolution F_{tau_a, tau_b}             (J+1, J+1, N)
-      clocks[f] fine clock increments by mesh bin, (n, J, k): sub-path family
-                f for f < order, the records for f = order
-    From order 2 on the earlier nodes revisit every bin and node, so their
-    partials, checkpoints and states are kept; order 1 streams them.
+      prop[m]     e^{-lambda m h}                                 (J+1, N)
+      prop2[m]    e^{-2 lambda m h}                               (J+1, N)
+      F_from_s[b] forcing convolution F_{s,tau_b}                 (J+1, N)
+      F_to_t[a]   forcing convolution F_{tau_a,t}                 (J+1, N)
+      F[a, b]     F_{tau_a,tau_b} for every node pair, order >= 2 (J+1, J+1, N)
+      levels[l-1] five (n, N) panels of simplex level l: its running unit
+                  covariances and the factors of its current interval
+      scratch     (n, N) panels reused by every interval, node and leaf
+    The clocks are read one mesh bin at a time, k+1 values per selected row
+    (family f < order: sub paths; f = order: the records).  From order 2 on
+    the earlier nodes revisit every bin and node, so their partials,
+    checkpoints and states are kept; order 1 streams them.
     """
 
     def __init__(self, bank: SimulationBank, spec: ProblemSpec,
@@ -301,90 +314,143 @@ class _MeshFrame:
         self.i_s_coarse = i_s
         self.taus = q.s + mesh * np.arange(J + 1)
         fine = bank.fine_grid
-        k_fine = self.chk_stride * int(round(coarse.step / fine.step))
+        self.k = k_fine = self.chk_stride * int(round(coarse.step / fine.step))
+        self.lo = fine.index_of(q.s)
         self.diag = q.sigma_scale * spec.sigmas
+        self.diag2 = self.diag ** 2
         lam = spec.lambdas
         steps = np.arange(J + 1) * mesh
         self.prop = np.exp(-np.outer(steps, lam))
         self.prop2 = np.exp(-2.0 * np.outer(steps, lam))
         # within-mesh-bin quadrature weights, anchored at the bin's right edge
         self.w2 = covariance_weights(lam, fine.step, k_fine)  # (k, N)
-        self.F = np.zeros((J + 1, J + 1, spec.dim))
-        if shift is not None:  # F[a, b] = e^{hA} F[a, b-1] + F[b-1, b] for all a < b at once
+        # column recurrence F[a, b] = e^{hA} F[a, b-1] + F[b-1, b] for all a < b
+        # at once; its row 0 is F_from_s, and it ends as column J
+        self.F_from_s = np.zeros((J + 1, spec.dim))
+        self.F_to_t = np.zeros((J + 1, spec.dim))
+        self.F = np.zeros((J + 1, J + 1, spec.dim)) if order > 1 else None
+        if shift is not None:
             for b in range(1, J + 1):
                 fbin = forcing_convolution(spec, shift, self.taus[b - 1], self.taus[b])
-                self.F[:b, b] = self.prop[1] * self.F[:b, b - 1] + fbin
-        self.rec = _selection(seed, bank.m_ou, n, which=0)
-        sub = _selection(seed, bank.m_sub, order * n, which=1)
-        samples = [(bank.sub_values, sub[f * n:(f + 1) * n]) for f in range(order)]
-        lo = fine.index_of(q.s)
-        self.clocks = [np.diff(values[idx, lo:lo + J * k_fine + 1], axis=1).reshape(n, J, k_fine)
-                       for values, idx in samples + [(bank.record_clock_values, self.rec)]]
-        self.tables, self.chk, self.nodes = {}, {}, {}
+                self.F_to_t[:b] = self.prop[1] * self.F_to_t[:b] + fbin
+                self.F_from_s[b] = self.F_to_t[0]
+                if self.F is not None:
+                    self.F[:b, b] = self.F_to_t[:b]
+        self.rec = _selection(seed, bank.m_ou, n, 1, which=0)[0]
+        subs = _selection(seed, bank.m_sub, n, order, which=1)
+        self.clock_rows = [(bank.sub_values, rows) for rows in subs] \
+            + [(bank.record_clock_values, self.rec)]
+        self.increments = np.empty((n, k_fine))
+        self.levels = np.empty((order, 5, n, spec.dim))   # level l at l - 1
+        self.scratch = np.empty((6, n, spec.dim))
+        self.tables, self.chk, self.nodes, self.recent = {}, {}, {}, (None, None)
         self.chk.update({j: self.checkpoint(j) for j in (range(J + 1) if order > 1 else (0, J))})
         if order > 1:  # family 0 only ever serves the last interval, streamed
-            self.tables = {f: [self.partial(f, j) for j in range(J)]
-                           for f in range(1, order + 1)}
-            self.nodes = {j: self.node(j) for j in range(J - order + 1)}
+            self.tables = {f: [self.bin_covariance(f, j, np.empty((n, spec.dim)))
+                               for j in range(J)] for f in range(1, order + 1)}
+            self.nodes = {j: self.state(j, np.empty((n, spec.dim)), None)
+                          for j in range(J - order + 1)}
 
-    def partial(self, f: int, j: int) -> np.ndarray:
+    def bin_covariance(self, f: int, j: int, out: np.ndarray) -> np.ndarray:
         """Unit covariance of mesh bin j alone for clock family f, anchored at tau_{j+1}."""
-        if f in self.tables:
-            return self.tables[f][j]
-        return np.einsum("mi,ik->mk", self.clocks[f][:, j], self.w2)
+        values, rows = self.clock_rows[f]
+        lo = self.lo + j * self.k
+        clock = values[rows, lo:lo + self.k + 1]
+        np.subtract(clock[:, 1:], clock[:, :-1], out=self.increments)
+        return np.einsum("mi,ik->mk", self.increments, self.w2, out=out)
+
+    def accumulate(self, cov: np.ndarray, decay: np.ndarray, f: int, j: int) -> None:
+        """cov += decay * (bin j's unit covariance for family f)."""
+        part = self.tables[f][j] if f in self.tables \
+            else self.bin_covariance(f, j, self.scratch[0])
+        np.multiply(decay, part, out=self.scratch[0])
+        cov += self.scratch[0]
 
     def checkpoint(self, j: int) -> np.ndarray:
         """Checkpoints of the selected records at node j, shape (n, N)."""
         if j in self.chk:
             return self.chk[j]
-        return np.asarray(self.bank.record_checkpoints[
-            self.rec, self.i_s_coarse + j * self.chk_stride, :], dtype=float)
+        if self.recent[0] != j:
+            self.recent = (j, np.asarray(self.bank.record_checkpoints[
+                self.rec, self.i_s_coarse + j * self.chk_stride, :], dtype=float))
+        return self.recent[1]
 
-    def drift(self, j: int, y: np.ndarray) -> np.ndarray:
-        """B(tau_j, y) = B0(tau_j, y) - f(tau_j)."""
+    def forcing(self, a: int, b: int) -> np.ndarray:
+        """F_{tau_a,tau_b}; order 1 only asks for b = J."""
+        return self.F_to_t[a] if self.F is None else self.F[a, b]
+
+    def drift(self, j: int, y: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+        """B(tau_j, y) = B0(tau_j, y) - f(tau_j), into out when there is a shift."""
         b = eval_field(self.q.field, self.taus[j], y)
-        return b if self.shift is None else b - self.shift.value_at(self.taus[j])
+        if self.shift is None:
+            return b
+        return np.subtract(b, self.shift.value_at(self.taus[j]), out=out)
 
     def node(self, j: int) -> tuple:
-        """(chk_j, Z_{tau_j}, B(tau_j, Z_{tau_j})) of the selected records at node j.
+        """(Z_{tau_j}, B(tau_j, Z_{tau_j})): kept from order 2 on, else in scratch panels."""
+        if j in self.nodes:
+            return self.nodes[j]
+        return self.state(j, self.scratch[4], self.scratch[5])
+
+    def state(self, j: int, z: np.ndarray, drift: Optional[np.ndarray]) -> tuple:
+        """(Z_{tau_j}, B(tau_j, Z_{tau_j})) of the selected records, Z into z.
 
         Z_{tau_j} = e^{-(tau_j-s)A} x + F_{s,tau_j}
                     + sigma sqrt(Q) (chk_j - e^{-(tau_j-s)A} chk_0)
         """
-        if j in self.nodes:
-            return self.nodes[j]
-        chk = self.checkpoint(j)
-        z = self.prop[j] * self.q.x + self.F[0, j] \
-            + self.diag * (chk - self.prop[j] * self.checkpoint(0))
-        return chk, z, self.drift(j, z)
+        np.multiply(self.prop[j], self.checkpoint(0), out=z)
+        np.subtract(self.checkpoint(j), z, out=z)
+        np.multiply(self.diag, z, out=z)
+        np.add(self.prop[j] * self.q.x + self.F_from_s[j], z, out=z)
+        return z, self.drift(j, z, drift)
+
+    def link(self, level: int, a: int, b: int) -> tuple:
+        """Build the state-free factors of interval [tau_a, tau_b] in level's panels.
+
+        From the level's unit covariances (record, family) it forms the floored
+        covariances I1, I0 and the record's noise segment dZ, and keeps
+        sqrt(I0/I1) dZ + F_{a,b}, sqrt(I0) and dZ / sqrt(I1).
+        """
+        cov_rec, cov_om, shifted, sqrt_om, dz_rec = self.levels[level - 1]
+        i_rec, i_om, dz = self.scratch[1:4]
+        np.maximum(np.multiply(self.diag2, cov_rec, out=i_rec), COV_FLOOR, out=i_rec)
+        np.maximum(np.multiply(self.diag2, cov_om, out=i_om), COV_FLOOR, out=i_om)
+        np.multiply(self.prop[b - a], self.checkpoint(a), out=dz)
+        np.subtract(self.checkpoint(b), dz, out=dz)
+        np.multiply(self.diag, dz, out=dz)
+        np.sqrt(i_om, out=sqrt_om)
+        np.sqrt(np.divide(i_om, i_rec, out=i_om), out=i_om)
+        np.add(np.multiply(i_om, dz, out=shifted), self.forcing(a, b), out=shifted)
+        np.divide(dz, np.sqrt(i_rec, out=i_rec), out=dz_rec)
+        return a, shifted, sqrt_om, dz_rec
 
 
 def _leaf(frame: _MeshFrame, links: list) -> np.ndarray:
     """Push the state from s through the chosen nodes; product of the interval factors.
 
-    links run from the last node down: (j_i, unit covariances of [tau_{j_i},
-    tau_{j_{i+1}}] for the record and for the interval's family), with
-    tau_{j_{m+1}} = t.  Each interval applies v1_estimate's formula with u, t
-    replaced by its own ends; the indicator enters on the interval ending at t.
+    links run from the last node down, each (j_i, sqrt(I0/I1) dZ + F, sqrt(I0),
+    dZ / sqrt(I1)) for [tau_{j_i}, tau_{j_{i+1}}] with tau_{j_{m+1}} = t.  Each
+    interval applies v1_estimate's formula with u, t replaced by its own ends;
+    the indicator enters on the interval ending at t.  The inner product is
+    taken before the push, so a drift that returns its input panel still sees
+    the state it was given.
     """
-    diag = frame.diag
     a = links[-1][0]
-    chk_a, y, drift = frame.node(a)
+    y, drift = frame.node(a)
+    push, tmp = frame.scratch[1], frame.scratch[2]
     prod = 1.0
     for i in range(len(links) - 1, -1, -1):
-        _, cov_rec, cov_om = links[i]
+        _, shifted, sqrt_om, dz_rec = links[i]
         b = links[i - 1][0] if i else frame.J
-        i_rec = np.maximum(diag ** 2 * cov_rec, COV_FLOOR)
-        i_om = np.maximum(diag ** 2 * cov_om, COV_FLOOR)
         prop_ab = frame.prop[b - a]
-        chk_b = frame.checkpoint(b)
-        dz = diag * (chk_b - prop_ab * chk_a)
-        y = np.sqrt(i_om / i_rec) * dz + frame.F[a, b] + prop_ab * y
-        inner = np.einsum("mk,mk->m", prop_ab * drift / np.sqrt(i_om), dz / np.sqrt(i_rec))
+        np.divide(np.multiply(prop_ab, drift, out=tmp), sqrt_om, out=tmp)
+        inner = np.einsum("mk,mk->m", tmp, dz_rec)
+        y = np.add(shifted, np.multiply(prop_ab, y, out=tmp), out=push)
         if b == frame.J:
-            inner = (np.linalg.norm(y, axis=1) > frame.q.radius).astype(float) * inner
+            norm = np.sqrt(np.add.reduce(np.multiply(y, y, out=tmp), axis=1))
+            inner = (norm > frame.q.radius).astype(float) * inner
         else:
-            a, chk_a, drift = b, chk_b, frame.drift(b, y)
+            a, drift = b, frame.drift(b, y, frame.scratch[3])
         prod = prod * inner
     return prod
 
@@ -393,15 +459,18 @@ def _descend(frame: _MeshFrame, level: int, upper: int, links: list) -> np.ndarr
     """Sum over node s_level, walking down from node `upper` (J: from t).
 
     Adds the unit covariances of [tau_j, tau_upper] one bin at a time for the
-    records and for family order - level, then walks the earlier nodes or, at
-    s_1, closes the tuple.
+    records and for family order - level, builds the interval's factors once,
+    then walks the earlier nodes or, at s_1, closes the tuple.
     """
-    acc, cov_rec, cov_om = 0.0, 0.0, 0.0
+    cov_rec, cov_om = frame.levels[level - 1, :2]
+    cov_rec.fill(0.0)
+    cov_om.fill(0.0)
+    acc = 0.0
     for j in range(upper - 1, level - 2, -1):
         decay = frame.prop2[upper - (j + 1)]
-        cov_rec = cov_rec + decay * frame.partial(frame.order, j)
-        cov_om = cov_om + decay * frame.partial(frame.order - level, j)
-        below = links + [(j, cov_rec, cov_om)]
+        frame.accumulate(cov_rec, decay, frame.order, j)
+        frame.accumulate(cov_om, decay, frame.order - level, j)
+        below = links + [frame.link(level, j, upper)]
         acc = acc + (_leaf(frame, below) if level == 1
                      else _descend(frame, level - 1, j, below))
     return acc
@@ -467,8 +536,9 @@ def v1_estimate(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShi
     the record covariance and I0 the independent-path covariance over [u, t];
     the node sum is a left Riemann rule with weight mesh.
 
-    Streams one mesh bin at a time so the resident footprint stays at a few
-    (n_pairs, dim) panels even for 1e4 pairs in dimension 100.
+    Reads the clocks one mesh bin at a time into eleven reused (n_pairs, dim)
+    panels, so the call's memory does not grow with the fine step: about
+    38 MB above the bank for 4000 pairs in dimension 100.
     """
     if n_pairs > min(bank.m_ou, bank.m_sub):
         raise ValueError(f"bank too small for n_pairs={n_pairs} "
@@ -515,11 +585,16 @@ def ou_gradient(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShi
     _check_bank(bank, spec)
     direction = np.ascontiguousarray(direction, dtype=float)
     ind, unit_seg, prop, diag = _ou_endpoint(bank, spec, shift, q)
-    # unit covariance over [s, t] per record, from the fine clock
+    # unit covariance over [s, t] per record, from the fine clock, a block of
+    # records at a time (each row's sum is the same whatever the block)
     fine = bank.fine_grid
     lo, hi = fine.index_of(q.s), fine.index_of(q.t)
     w = covariance_weights(spec.lambdas, fine.step, hi - lo)
-    unit_cov = np.einsum("mb,bk->mk", np.diff(bank.record_clock_values[:, lo:hi + 1], axis=1), w)
+    unit_cov = np.empty((bank.m_ou, spec.dim))
+    block = max(1, GRADIENT_BLOCK_BYTES // (8 * (hi - lo)))
+    for r in range(0, bank.m_ou, block):
+        clock = bank.record_clock_values[r:r + block, lo:hi + 1]
+        np.einsum("mb,bk->mk", np.diff(clock, axis=1), w, out=unit_cov[r:r + block])
     cov = np.maximum(diag ** 2 * unit_cov, COV_FLOOR)
     weight = np.einsum("mk,mk->m", (prop * direction) / cov, diag * unit_seg)
     value, se = _mean_se(ind * weight)

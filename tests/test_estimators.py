@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,6 +261,73 @@ def test_v1_with_shift_runs(bank1, spec1):
                     radius=1.0, field=sine_field(), use_shift=True)
     est = v1_estimate(bank1, spec1, shift, q, 1e-2, 1000)
     assert math.isfinite(est.value) and est.std_error > 0.0
+
+
+# Traced memory of one query on banks whose fine grids differ by 4x.  numpy
+# reports its buffers to tracemalloc, so the peak counts every array the call
+# allocates.  A panel is n*N*8 bytes (n pairs, or m_ou records for the
+# gradient); the bound leaves room for the kept tables and iterator buffers.
+MEM_FINE_STEPS = (1e-3, 2.5e-4)
+MEM_GROWTH = 2.0
+MEM_PANELS = 48
+
+
+@pytest.fixture(scope="module")
+def mem_case():
+    spec = ProblemSpec(alpha=0.75, gamma_bar=1.0, dim=10,
+                       lambdas=np.arange(1.0, 11.0) ** 2, sigmas=np.ones(10), horizon=1.0)
+    x = np.linspace(0.5, -0.3, 10)
+    shift = solve_flow(spec, sine_field(), 0.2, x, TimeGrid(0.0, 1.0, 1e-3))
+    q = QueryParams(s=0.2, t=1.0, x=x, sigma_scale=0.7, radius=1.0,
+                    field=sine_field(), use_shift=True)
+    banks = [generate_bank(spec, fine, 1e-2, 200, 800, 11) for fine in MEM_FINE_STEPS]
+    return spec, shift, q, banks
+
+
+def traced_peak(fn) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def assert_flat_in_fine_grid(peaks, panel):
+    assert peaks[1] <= MEM_GROWTH * peaks[0], [p / panel for p in peaks]
+    assert max(peaks) <= MEM_PANELS * panel, [p / panel for p in peaks]
+
+
+@pytest.mark.parametrize("seed", [None, 5])
+def test_v1_memory_flat_in_fine_grid(mem_case, seed):
+    # The kernel reads the clocks one mesh bin at a time, so neither the
+    # whole window's increments nor a (J+1, J+1, N) forcing table is held.
+    spec, shift, q, banks = mem_case
+    n = 200
+    peaks = [traced_peak(lambda: v1_estimate(bank, spec, shift, q, 1e-2, n, seed=seed))
+             for bank in banks]
+    assert_flat_in_fine_grid(peaks, n * spec.dim * 8)
+
+
+def test_gradient_memory_flat_in_fine_grid(mem_case):
+    spec, shift, q, banks = mem_case
+    peaks = [traced_peak(lambda: ou_gradient(bank, spec, shift, q, np.ones(spec.dim)))
+             for bank in banks]
+    assert_flat_in_fine_grid(peaks, banks[0].m_ou * spec.dim * 8)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 8 * 800 * 7, 1 << 30],
+                         ids=["one-record", "seven-records", "all-records"])
+def test_gradient_independent_of_block(mem_case, monkeypatch, block_bytes):
+    # One record per block, blocks of 7 records (which do not divide 800),
+    # and every record in one block: each row's sum is the same.
+    spec, shift, q, banks = mem_case
+    direction = np.linspace(1.0, -1.0, spec.dim)
+    want = ou_gradient(banks[0], spec, shift, q, direction)
+    monkeypatch.setattr(estimators, "GRADIENT_BLOCK_BYTES", block_bytes)
+    got = ou_gradient(banks[0], spec, shift, q, direction)
+    assert (got.value, got.std_error) == (want.value, want.std_error)
 
 
 def test_mesh_validation(bank1, spec1, q_sine):

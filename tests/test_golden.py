@@ -10,7 +10,9 @@ of its format-1 value).  They pin that refactors keep every value:
 
 * the bank bytes, the shift flow, v1 and the gradient bitwise;
 * vn at orders 2 and 3 within 1e-12 relative, because a different walk over
-  the simplex may sum the same terms in a different order;
+  the simplex may sum the same terms in a different order; and, recorded
+  before the kernel streamed its clocks and built each interval once, vn at
+  orders 2 and 3 bitwise and the number of drift calls at orders 1 to 3;
 * the Euler-Maruyama reference bitwise: its (value, std_error) and a digest of
   every state its drift sees, recorded before the reference drew its noise on
   a helper thread, whatever the chunk size (the zero field's values were
@@ -62,6 +64,18 @@ VN = [
     (3, 0.1, SINE, True, None, -0.0006006637168993412, 0.009821172555430423),
     (3, 0.1, CUBIC, False, 3, -0.03995544727860638, 0.292580832137836),
 ]
+# (order, seed) -> (value, std_error) of vn on 120 tuples with the shift: order 2
+# with the sine at mesh 4e-2, order 3 with CUBIC at mesh 0.1; recorded before
+# the kernel built each interval once
+VN_BITWISE = {
+    (2, None): (0.05624543731321354, 0.03940965722849484),
+    (2, 5): (-0.032430438459042234, 0.03439705779424018),
+    (3, None): (0.08753258508088532, 0.0728432711161704),
+    (3, 5): (0.04300695580609126, 0.06640041779907499),
+}
+VN_BITWISE_SETUP = {2: (4e-2, SINE), 3: (0.1, CUBIC)}
+# order -> (mesh, drift calls) of the same walk on 120 tuples with the sine
+DRIFT_CALLS = {1: (1e-2, 80), 2: (4e-2, 209), 3: (0.1, 118)}
 GRADIENT = (0.05807740335188382, 0.0151811524588853)
 # (field, method) -> (value, std_error) at t = 0.5 and 1.0 of em_benchmark_series
 # on 300 paths, step 1e-2, seed 17; the cubic is CUBIC at sharpness 1e4
@@ -138,6 +152,34 @@ def test_vn_golden(spec3, bank3):
                           120, seed=seed)
         assert est.value == pytest.approx(value, rel=1e-12, abs=0.0)
         assert est.std_error == pytest.approx(se, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_vn_golden_bitwise(spec3, bank3, order):
+    mesh, field = VN_BITWISE_SETUP[order]
+    shift = solve_flow(spec3, field, 0.2, X, GRID)
+    for seed in (None, 5):
+        est = vn_estimate(bank3, spec3, shift, query(field, True), order, mesh, 120, seed=seed)
+        assert (est.value, est.std_error) == VN_BITWISE[order, seed], seed
+
+
+@pytest.mark.parametrize("order", sorted(DRIFT_CALLS))
+def test_iterate_drift_call_count(spec3, bank3, order):
+    # The walk evaluates the drift once per node and once per pushed state.
+    calls = []
+
+    def sine(t, x):
+        calls.append(t)
+        return np.sin(x)
+
+    mesh, want = DRIFT_CALLS[order]
+    shift = solve_flow(spec3, SINE, 0.2, X, GRID)
+    q = query(custom_field(sine, 1.0), True)
+    if order == 1:
+        v1_estimate(bank3, spec3, shift, q, mesh, 120)
+    else:
+        vn_estimate(bank3, spec3, shift, q, order, mesh, 120)
+    assert len(calls) == want
 
 
 def test_gradient_golden_bitwise(spec3, bank3):
