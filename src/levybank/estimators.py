@@ -26,7 +26,8 @@ Conventions shared by the iterate estimators:
   not depend on the state are built once, when the walk creates it; a leaf
   only pushes the state.  The clocks are read one mesh bin at a time (k+1
   values per selected row), so at order 1 the walk holds eleven (n, dim)
-  panels, reused throughout, two (J+1, dim) forcing tables and one bin of
+  panels, reused throughout (a twelfth when a bin spans more than
+  CONTRACT_PIECE fine steps), two (J+1, dim) forcing tables and one bin of
   clock values, whatever the fine step.  From order 2 on it also keeps the
   per-bin covariances, the node states and F for every node pair, so the
   drift is evaluated once per node and once per pushed state.  The drift may
@@ -36,6 +37,9 @@ Conventions shared by the iterate estimators:
   puts almost no mass near the interval's right end.
 * All covariances and increments come from the unit-noise bank and are scaled
   by sigma at read time; no sampler ever runs inside an iterate estimator.
+  A mesh bin's covariance is its clock increments times per-step weights
+  that carry sigma^2, one BLAS matrix product per piece of at most
+  CONTRACT_PIECE fine steps, so the BLAS thread count moves no bit.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ import numpy as np
 from .bank import SimulationBank
 from .core import GRID_RTOL, ProblemSpec, covariance_weights, phi1
 from .fields import VectorFieldSpec, eval_field
-from .flow import TimeShift, forcing_convolution
+from .flow import TimeShift, bin_forcings, forcing_convolution
 from .stable import sample_stable_increment
 from .streams import DOMAIN_BENCHMARK, DOMAIN_SELECTION, make_rng
 
@@ -58,6 +62,9 @@ COV_FLOOR = 1e-300
 BENCHMARK_METHODS = ("exp", "euler")
 EM_CHUNK_BYTES = 2 << 20   # benchmark noise handed over per chunk of steps
 GRADIENT_BLOCK_BYTES = 1 << 20   # clock increments ou_gradient holds at once
+# fine steps per matrix product in a bin's covariance: up to this inner length
+# OpenBLAS gives the same bits for one and two threads (at 1000 it does not)
+CONTRACT_PIECE = 100
 
 
 @dataclass(frozen=True)
@@ -282,12 +289,15 @@ class _MeshFrame:
     Provides, for mesh nodes tau_j = s + j*h (tau_J = t):
       prop[m]     e^{-lambda m h}                                 (J+1, N)
       prop2[m]    e^{-2 lambda m h}                               (J+1, N)
+      w2[i]       sigma^2 e^{-2 lambda d age_i} phi1(2 lambda d),
+                  subnormals zeroed; a bin's covariance is dL @ w2 (k, N)
       F_from_s[b] forcing convolution F_{s,tau_b}                 (J+1, N)
       F_to_t[a]   forcing convolution F_{tau_a,t}                 (J+1, N)
       F[a, b]     F_{tau_a,tau_b} for every node pair, order >= 2 (J+1, J+1, N)
-      levels[l-1] five (n, N) panels of simplex level l: its running unit
+      levels[l-1] five (n, N) panels of simplex level l: its running
                   covariances and the factors of its current interval
-      scratch     (n, N) panels reused by every interval, node and leaf
+      scratch     seven (n, N) panels reused by every interval, node and
+                  leaf; the seventh holds a bin's later pieces
     The clocks are read one mesh bin at a time, k+1 values per selected row
     (family f < order: sub paths; f = order: the records).  From order 2 on
     the earlier nodes revisit every bin and node, so their partials,
@@ -317,21 +327,23 @@ class _MeshFrame:
         self.k = k_fine = self.chk_stride * int(round(coarse.step / fine.step))
         self.lo = fine.index_of(q.s)
         self.diag = q.sigma_scale * spec.sigmas
-        self.diag2 = self.diag ** 2
         lam = spec.lambdas
         steps = np.arange(J + 1) * mesh
         self.prop = np.exp(-np.outer(steps, lam))
         self.prop2 = np.exp(-2.0 * np.outer(steps, lam))
-        # within-mesh-bin quadrature weights, anchored at the bin's right edge
-        self.w2 = covariance_weights(lam, fine.step, k_fine)  # (k, N)
+        # within-mesh-bin quadrature weights times sigma^2, anchored at the
+        # bin's right edge; subnormal weights would put the products on
+        # OpenBLAS's slow path, and they add nothing above COV_FLOOR
+        self.w2 = covariance_weights(lam, fine.step, k_fine) * self.diag ** 2  # (k, N)
+        self.w2[self.w2 < np.finfo(float).tiny] = 0.0
+        self.pieces = [slice(p, p + CONTRACT_PIECE) for p in range(0, k_fine, CONTRACT_PIECE)]
         # column recurrence F[a, b] = e^{hA} F[a, b-1] + F[b-1, b] for all a < b
         # at once; its row 0 is F_from_s, and it ends as column J
         self.F_from_s = np.zeros((J + 1, spec.dim))
         self.F_to_t = np.zeros((J + 1, spec.dim))
         self.F = np.zeros((J + 1, J + 1, spec.dim)) if order > 1 else None
         if shift is not None:
-            for b in range(1, J + 1):
-                fbin = forcing_convolution(spec, shift, self.taus[b - 1], self.taus[b])
+            for b, fbin in enumerate(bin_forcings(spec, shift, self.taus), 1):
                 self.F_to_t[:b] = self.prop[1] * self.F_to_t[:b] + fbin
                 self.F_from_s[b] = self.F_to_t[0]
                 if self.F is not None:
@@ -342,7 +354,7 @@ class _MeshFrame:
             + [(bank.record_clock_values, self.rec)]
         self.increments = np.empty((n, k_fine))
         self.levels = np.empty((order, 5, n, spec.dim))   # level l at l - 1
-        self.scratch = np.empty((6, n, spec.dim))
+        self.scratch = np.empty((7, n, spec.dim))
         self.tables, self.chk, self.nodes, self.recent = {}, {}, {}, (None, None)
         self.chk.update({j: self.checkpoint(j) for j in (range(J + 1) if order > 1 else (0, J))})
         if order > 1:  # family 0 only ever serves the last interval, streamed
@@ -352,15 +364,23 @@ class _MeshFrame:
                           for j in range(J - order + 1)}
 
     def bin_covariance(self, f: int, j: int, out: np.ndarray) -> np.ndarray:
-        """Unit covariance of mesh bin j alone for clock family f, anchored at tau_{j+1}."""
+        """Covariance of mesh bin j alone for clock family f, anchored at tau_{j+1}.
+
+        One matrix product per piece of at most CONTRACT_PIECE fine steps,
+        summed in order, so the bits do not depend on the BLAS thread count.
+        """
         values, rows = self.clock_rows[f]
         lo = self.lo + j * self.k
         clock = values[rows, lo:lo + self.k + 1]
         np.subtract(clock[:, 1:], clock[:, :-1], out=self.increments)
-        return np.einsum("mi,ik->mk", self.increments, self.w2, out=out)
+        first, *rest = self.pieces
+        np.matmul(self.increments[:, first], self.w2[first], out=out)
+        for piece in rest:
+            out += np.matmul(self.increments[:, piece], self.w2[piece], out=self.scratch[6])
+        return out
 
     def accumulate(self, cov: np.ndarray, decay: np.ndarray, f: int, j: int) -> None:
-        """cov += decay * (bin j's unit covariance for family f)."""
+        """cov += decay * (bin j's covariance for family f)."""
         part = self.tables[f][j] if f in self.tables \
             else self.bin_covariance(f, j, self.scratch[0])
         np.multiply(decay, part, out=self.scratch[0])
@@ -407,14 +427,14 @@ class _MeshFrame:
     def link(self, level: int, a: int, b: int) -> tuple:
         """Build the state-free factors of interval [tau_a, tau_b] in level's panels.
 
-        From the level's unit covariances (record, family) it forms the floored
+        From the level's covariances (record, family) it forms the floored
         covariances I1, I0 and the record's noise segment dZ, and keeps
         sqrt(I0/I1) dZ + F_{a,b}, sqrt(I0) and dZ / sqrt(I1).
         """
         cov_rec, cov_om, shifted, sqrt_om, dz_rec = self.levels[level - 1]
         i_rec, i_om, dz = self.scratch[1:4]
-        np.maximum(np.multiply(self.diag2, cov_rec, out=i_rec), COV_FLOOR, out=i_rec)
-        np.maximum(np.multiply(self.diag2, cov_om, out=i_om), COV_FLOOR, out=i_om)
+        np.maximum(cov_rec, COV_FLOOR, out=i_rec)
+        np.maximum(cov_om, COV_FLOOR, out=i_om)
         np.multiply(self.prop[b - a], self.checkpoint(a), out=dz)
         np.subtract(self.checkpoint(b), dz, out=dz)
         np.multiply(self.diag, dz, out=dz)
@@ -458,7 +478,7 @@ def _leaf(frame: _MeshFrame, links: list) -> np.ndarray:
 def _descend(frame: _MeshFrame, level: int, upper: int, links: list) -> np.ndarray:
     """Sum over node s_level, walking down from node `upper` (J: from t).
 
-    Adds the unit covariances of [tau_j, tau_upper] one bin at a time for the
+    Adds the covariances of [tau_j, tau_upper] one bin at a time for the
     records and for family order - level, builds the interval's factors once,
     then walks the earlier nodes or, at s_1, closes the tuple.
     """
@@ -580,7 +600,9 @@ def ou_gradient(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShi
     Monte Carlo mean over records of u0(Z_t) * <I^{-1} e^{(t-s)A} h, Z_t -
     e^{(t-s)A} x - F_{s,t}>, with I the record covariance over [s, t].  Pure
     diagnostic: validates the covariance and segment plumbing against finite
-    differences.
+    differences.  The covariance contraction stays on einsum: its inner length
+    is the whole window, where BLAS products would change their last bits
+    with the thread count.
     """
     _check_bank(bank, spec)
     direction = np.ascontiguousarray(direction, dtype=float)

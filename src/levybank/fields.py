@@ -22,6 +22,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+# |a*x| from which soft_abs takes |x| without evaluating tanh
+TANH_EXACT = 20.0
+
 
 def soft_max(x: np.ndarray, a: float) -> np.ndarray:
     """Softmax-weighted mean Sum x_i e^{a x_i} / Sum e^{a x_i} over the last axis.
@@ -36,7 +39,7 @@ def soft_max(x: np.ndarray, a: float) -> np.ndarray:
     z *= a
     # exp is exactly +0.0 below -745.14; skipping those entries avoids numpy's
     # slow underflow path (most of them at a = 1e4) and changes no bit.
-    w = np.zeros_like(z)
+    w = np.zeros(z.shape)
     np.exp(z, out=w, where=z > -750.0)
     out = np.multiply(x, w, out=z).sum(axis=-1) / w.sum(axis=-1)
     return float(out) if out.ndim == 0 else out
@@ -47,7 +50,14 @@ def soft_abs(x: np.ndarray, a: float) -> np.ndarray:
     if a <= 0.0:
         raise ValueError(f"sharpness must be positive, got {a}")
     x = np.asarray(x, dtype=float)
-    return x * np.tanh(a * x)
+    # tanh is exactly +-1 from |a*x| = 18.99 on, where x*tanh(a*x) = |x| bit
+    # for bit; evaluating it only below TANH_EXACT skips most entries at a = 1e4
+    ax = np.multiply(a, x, out=np.empty_like(x))
+    out = np.abs(ax, out=np.empty_like(x))
+    near = out < TANH_EXACT
+    np.tanh(ax, out=ax, where=near)
+    np.abs(x, out=out)
+    return np.multiply(x, ax, out=out, where=near)
 
 
 @dataclass(frozen=True)
@@ -104,5 +114,8 @@ def eval_field(field: VectorFieldSpec, t: float, x: np.ndarray) -> np.ndarray:
         d = field.y_bar - x
         cap = field.bound  # b0 * ||ybar||_inf
         denom = cap + soft_max(soft_abs(d, field.sharpness), field.sharpness) ** 3
-        return cap * d * np.abs(d) ** 2 / np.expand_dims(np.asarray(denom), -1)
+        out = cap * d   # (cap*d) * |d|^2 / denom, with |d|^2 = d*d bit for bit
+        out *= d * d
+        out /= np.asarray(denom)[..., None]
+        return out
     return np.asarray(field.custom_fn(t, x), dtype=float)

@@ -75,8 +75,11 @@ def solve_flow(spec: ProblemSpec, field: VectorFieldSpec, s: float, x: np.ndarra
     # f(t_i) = B0(t_i, x(t_i)): frozen points before s, then each step's first
     # stage (or Euler slope), which is B0 at (t_i, x(t_i)), then the end point
     shift_vals = np.empty_like(flow)
-    for i in range(i_s):
-        shift_vals[i] = eval_field(field, times[i], x)
+    if field.kind == "custom":   # only a hook may depend on t
+        for i in range(i_s):
+            shift_vals[i] = eval_field(field, times[i], x)
+    elif i_s:
+        shift_vals[:i_s] = eval_field(field, times[0], x)
     y = x.copy()
     if method == "exp_rk4":
         e_full = np.exp(-lam * h)
@@ -113,13 +116,32 @@ def forcing_convolution(spec: ProblemSpec, shift: TimeShift | None, s: float, t:
         raise ValueError(f"need s < t, got s={s}, t={t}")
     if shift is None:
         return np.zeros(spec.dim)
-    grid = shift.grid
-    i0, i1 = grid.index_of(s), grid.index_of(t)
-    d = grid.step
+    i0, i1 = shift.grid.index_of(s), shift.grid.index_of(t)
+    decay, w = _forcing_weights(spec, shift, i1 - i0)
+    return np.einsum("bk,bk,k->k", decay, shift.values[i0:i1], w)
+
+
+def bin_forcings(spec: ProblemSpec, shift: TimeShift, nodes: np.ndarray) -> np.ndarray:
+    """Row b is F_{nodes[b],nodes[b+1]}, the bits forcing_convolution gives.
+
+    The nodes must be evenly spaced points of the shift's grid, so every bin
+    shares one decay table.
+    """
+    idx = [shift.grid.index_of(t) for t in nodes]
+    width = idx[1] - idx[0]
+    decay, w = _forcing_weights(spec, shift, width)
+    out = np.empty((len(idx) - 1, spec.dim))
+    for b, i0 in enumerate(idx[:-1]):
+        np.einsum("bk,bk,k->k", decay, shift.values[i0:i0 + width], w, out=out[b])
+    return out
+
+
+def _forcing_weights(spec: ProblemSpec, shift: TimeShift, n_bins: int) -> tuple:
+    """(decay, w) of a window of n_bins grid bins: bin i weighs decay[i] * w * f(r_i)."""
+    d = shift.grid.step
     lam = spec.lambdas
     # exponent for bin with left edge r_i: -lambda*(t - r_i - d) = -lambda*d*age,
-    # where age = i1-1-i counts whole bins between the bin's right edge and t.
-    ages = np.arange(i1 - 1 - i0, -1, -1.0)      # (n_bins,) matching bins i0..i1-1
+    # where age counts whole bins between the bin's right edge and t.
+    ages = np.arange(n_bins - 1, -1, -1.0)
     decay = np.exp(-np.outer(ages, lam) * d)     # (n_bins, N)
-    w = phi1(lam * d) * d
-    return np.einsum("bk,bk,k->k", decay, shift.values[i0:i1], w)
+    return decay, phi1(lam * d) * d

@@ -4,15 +4,19 @@ from __future__ import annotations
 
 import gc
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import levybank
 import levybank.estimators as estimators
 from levybank.bank import generate_bank
-from levybank.core import ProblemSpec, TimeGrid
+from levybank.core import ProblemSpec, TimeGrid, covariance_weights
 from levybank.estimators import (IterateEstimate, QueryParams, em_benchmark,
                                  em_benchmark_series, ou_gradient, partial_sums,
                                  v0_estimate, v1_estimate, vn_estimate)
@@ -328,6 +332,57 @@ def test_gradient_independent_of_block(mem_case, monkeypatch, block_bytes):
     monkeypatch.setattr(estimators, "GRADIENT_BLOCK_BYTES", block_bytes)
     got = ou_gradient(banks[0], spec, shift, q, direction)
     assert (got.value, got.std_error) == (want.value, want.std_error)
+
+
+def test_bin_weights_hold_no_subnormal():
+    # At lambda = 1e4 and fine step 1e-3 the weights of a bin of 100 fine
+    # steps fall below the smallest normal double from age 36 on.
+    spec = ProblemSpec(alpha=0.75, gamma_bar=1.0, dim=2, lambdas=np.array([1.0, 1e4]),
+                       sigmas=np.ones(2), horizon=1.0)
+    bank = generate_bank(spec, 1e-3, 1e-2, 2, 2, 5)
+    q = QueryParams(s=0.0, t=1.0, x=np.zeros(2), sigma_scale=0.7, radius=1.0,
+                    field=sine_field(), use_shift=False)
+    frame = estimators._MeshFrame(bank, spec, None, q, 0.1, 1, 2, None)
+    raw = covariance_weights(spec.lambdas, 1e-3, 100) * (0.7 * spec.sigmas) ** 2
+    tiny = np.finfo(float).tiny
+    assert np.any((raw > 0.0) & (raw < tiny))
+    assert not np.any((frame.w2 > 0.0) & (frame.w2 < tiny))
+    np.testing.assert_array_equal(frame.w2, np.where(raw < tiny, 0.0, raw))
+
+
+THREADS_SCRIPT = """
+import numpy as np
+from levybank.bank import generate_bank
+from levybank.core import ProblemSpec, squared_eigenvalues
+from levybank.estimators import QueryParams, v1_estimate, vn_estimate
+from levybank.fields import sine_field
+
+spec = ProblemSpec(alpha=0.75, gamma_bar=1.0, dim=100, lambdas=squared_eigenvalues(100),
+                   sigmas=np.ones(100), horizon=1.0)
+for fine, coarse, meshes in ((1e-3, 1e-2, (1e-2, 2e-2, 0.1)), (1e-4, 0.1, (0.1,))):
+    bank = generate_bank(spec, fine, coarse, 600, 300, 7)
+    for mesh in meshes:
+        q = QueryParams(s=1.0 - 10 * mesh, t=1.0, x=np.full(100, 0.5), sigma_scale=0.8,
+                        radius=1.0, field=sine_field(), use_shift=False)
+        for est in (v1_estimate(bank, spec, None, q, mesh, 300, seed=3),
+                    vn_estimate(bank, spec, None, q, 2, mesh, 300, seed=3)):
+            print(est.value.hex(), est.std_error.hex())
+"""
+
+
+def test_iterates_independent_of_blas_threads():
+    # Bins of k = 10, 20, 100 and 1000 fine steps; each product of (300, k)
+    # increments by (k, 100) weights is large enough for OpenBLAS to split it
+    # over two threads, which must not move a bit.
+    def run(threads):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.path.dirname(os.path.dirname(levybank.__file__)))
+        return subprocess.run([sys.executable, "-c", THREADS_SCRIPT], env=env, check=True,
+                              capture_output=True, text=True, timeout=600).stdout
+
+    one = run(1)
+    assert len(one.splitlines()) == 8
+    assert run(2) == one
 
 
 def test_mesh_validation(bank1, spec1, q_sine):

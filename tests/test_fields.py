@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from levybank.fields import (bounded_cubic_field, custom_field, eval_field,
+from levybank.fields import (TANH_EXACT, bounded_cubic_field, custom_field, eval_field,
                              sine_field, soft_abs, soft_max, zero_field)
 
 
@@ -50,6 +50,39 @@ def test_soft_abs_values():
     assert soft_abs(0.0, 1e4) == 0.0
     np.testing.assert_allclose(soft_abs(np.array([-2.0, 3.0]), 1e4), [2.0, 3.0],
                                rtol=1e-12)
+
+
+def test_tanh_saturates_below_soft_abs_cutoff():
+    # soft_abs takes |x| where |a*x| >= TANH_EXACT, which is x*tanh(a*x) only
+    # if tanh is exactly +-1 there: on this numpy it is from 18.99 on.
+    v = np.concatenate([np.linspace(TANH_EXACT, 2 * TANH_EXACT, 10**6),
+                        np.logspace(np.log10(TANH_EXACT), 308, 10**5), [np.inf]])
+    assert np.all(np.tanh(v) == 1.0) and np.all(np.tanh(-v) == -1.0)
+    assert np.all(np.tanh(v[::3]) == 1.0)   # strided, as well as contiguous
+
+
+def plain_cubic(field, x):
+    """The bounded cubic written out with tanh over every entry."""
+    d = field.y_bar - x
+    a = field.sharpness
+    denom = field.bound + plain_soft_max(d * np.tanh(a * d), a) ** 3
+    return field.bound * d * np.abs(d) ** 2 / np.expand_dims(np.asarray(denom), -1)
+
+
+@pytest.mark.parametrize("a", [1.0, 50.0, 1e4, 1e5])
+@pytest.mark.parametrize("shape", [(7,), (40, 100), (3, 5, 100)])
+def test_soft_abs_and_cubic_bitwise_equal_plain_formula(a, shape):
+    rng = np.random.default_rng(99)
+    y_bar = rng.normal(0.0, 2.0, shape[-1])
+    field = bounded_cubic_field(2.0, y_bar, a)
+    edge = TANH_EXACT / a   # |a*d| straddling the cutoff, and ties
+    straddle = np.array([edge, -edge, np.nextafter(edge, 0.0), -np.nextafter(edge, 0.0),
+                         np.nextafter(edge, 1.0), 0.0, -0.0])
+    for d in (rng.normal(0.0, 1.0, shape), rng.normal(0.0, 3.0 / a, shape),
+              np.resize(straddle, shape), np.full(shape, edge)):
+        assert soft_abs(d, a).tobytes() == (d * np.tanh(a * d)).tobytes()
+        x = y_bar - d
+        assert eval_field(field, 0.0, x).tobytes() == plain_cubic(field, x).tobytes()
 
 
 def test_sine_field():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from levybank.core import ProblemSpec, TimeGrid
-from levybank.fields import custom_field, sine_field, zero_field
-from levybank.flow import forcing_convolution, solve_flow
+from levybank.fields import (bounded_cubic_field, custom_field, eval_field, sine_field,
+                             zero_field)
+from levybank.flow import bin_forcings, forcing_convolution, solve_flow
 
 
 def make_spec(lambdas, horizon=1.0):
@@ -119,6 +120,20 @@ def test_flow_evaluates_field_once_per_stage():
     assert len(calls) == GRID.n_steps + 1
 
 
+@pytest.mark.parametrize("field", [zero_field(), sine_field(),
+                                   bounded_cubic_field(2.0, np.full(2, 2.0), 1e4)],
+                         ids=["zero", "sine", "cubic"])
+def test_frozen_prefix_bytes_equal_per_time_loop(field):
+    # A built-in field does not depend on t, so the frozen points before s
+    # share one evaluation; they must hold the bits of one call per time.
+    spec = make_spec([1.0, 2.0])
+    x = np.array([0.5, 1.0])
+    shift = solve_flow(spec, field, 0.5, x, GRID)
+    i_s = GRID.index_of(0.5)
+    want = np.stack([eval_field(field, t, x) for t in GRID.times()[:i_s]])
+    assert shift.values[:i_s].tobytes() == want.tobytes()
+
+
 def test_solve_flow_validation():
     spec = make_spec([1.0])
     with pytest.raises(ValueError):
@@ -165,3 +180,13 @@ def test_forcing_convolution_degenerate():
     with pytest.raises(ValueError):
         forcing_convolution(spec, shift, 0.4, 0.4)
     assert np.array_equal(forcing_convolution(spec, None, 0.0, 1.0), np.zeros(1))
+
+
+@pytest.mark.parametrize("s, t, mesh", [(0.0, 1.0, 1e-2), (0.2, 1.0, 4e-2), (0.5, 0.6, 0.1)])
+def test_bin_forcings_bytes_equal_per_bin(s, t, mesh):
+    spec = make_spec([1.0, 9.0, 1e4])
+    shift = solve_flow(spec, sine_field(), 0.0, np.array([1.0, -0.4, 2.0]), GRID)
+    nodes = s + mesh * np.arange(round((t - s) / mesh) + 1)
+    want = np.stack([forcing_convolution(spec, shift, a, b)
+                     for a, b in zip(nodes[:-1], nodes[1:])])
+    assert bin_forcings(spec, shift, nodes).tobytes() == want.tobytes()

@@ -8,11 +8,16 @@ switched the checkpoints to one normal per block (a new random stream, so a
 deliberate change: every moved value stayed within 4 combined standard errors
 of its format-1 value).  They pin that refactors keep every value:
 
-* the bank bytes, the shift flow, v1 and the gradient bitwise;
+* the bank bytes, the shift flow and the gradient bitwise;
 * vn at orders 2 and 3 within 1e-12 relative, because a different walk over
   the simplex may sum the same terms in a different order; and, recorded
-  before the kernel streamed its clocks and built each interval once, vn at
-  orders 2 and 3 bitwise and the number of drift calls at orders 1 to 3;
+  before the kernel streamed its clocks and built each interval once, the
+  number of drift calls at orders 1 to 3;
+* v1, and vn at orders 2 and 3, bitwise as the kernel computes them since it
+  contracts each mesh bin's clock increments with sigma^2-scaled weights
+  through BLAS matrix products, and within 1e-12 relative as they were when
+  it contracted unit weights with einsum and scaled by sigma^2 afterwards
+  (they moved by at most 7e-16 relative);
 * the Euler-Maruyama reference bitwise: its (value, std_error) and a digest of
   every state its drift sees, recorded before the reference drew its noise on
   a helper thread, whatever the chunk size (the zero field's values were
@@ -20,7 +25,10 @@ of its format-1 value).  They pin that refactors keep every value:
 
 A numpy release that changes the summation order of einsum or of reductions
 would move the bitwise constants; re-record them from a tree whose values are
-otherwise trusted.
+otherwise trusted.  The bank digest and the bitwise v1 and vn values also
+depend on the BLAS build (they were recorded with OpenBLAS 0.3.31), because
+the bank and the kernel form their clock contractions as matrix products;
+the BLAS thread count does not move them.
 """
 
 from __future__ import annotations
@@ -53,9 +61,9 @@ FLOW_SHA256 = {
 # (use_shift, seed) -> (value, std_error) of v1 at mesh 1e-2 on 300 pairs
 V1 = {
     (False, None): (0.14668507124088231, 0.034415217396522174),
-    (False, 5): (0.1228864089380573, 0.03585629447102196),
+    (False, 5): (0.12288640893805727, 0.03585629447102196),
     (True, None): (0.10842402252843779, 0.029229498887143712),
-    (True, 5): (0.1012654484242058, 0.032880014161180894),
+    (True, 5): (0.1012654484242058, 0.03288001416118089),
 }
 # (order, mesh, field, use_shift, seed, value, std_error) of vn on 120 tuples
 VN = [
@@ -65,9 +73,23 @@ VN = [
     (3, 0.1, CUBIC, False, 3, -0.03995544727860638, 0.292580832137836),
 ]
 # (order, seed) -> (value, std_error) of vn on 120 tuples with the shift: order 2
-# with the sine at mesh 4e-2, order 3 with CUBIC at mesh 0.1; recorded before
-# the kernel built each interval once
+# with the sine at mesh 4e-2, order 3 with CUBIC at mesh 0.1
 VN_BITWISE = {
+    (2, None): (0.05624543731321356, 0.039409657228494856),
+    (2, 5): (-0.032430438459042255, 0.03439705779424018),
+    (3, None): (0.08753258508088534, 0.07284327111617038),
+    (3, 5): (0.04300695580609125, 0.066400417799075),
+}
+# V1 and VN_BITWISE as recorded before the kernel put sigma^2 into its bin
+# weights and contracted them through BLAS (VN_BITWISE: also before it built
+# each interval once)
+V1_EINSUM = {
+    (False, None): (0.14668507124088231, 0.034415217396522174),
+    (False, 5): (0.1228864089380573, 0.03585629447102196),
+    (True, None): (0.10842402252843779, 0.029229498887143712),
+    (True, 5): (0.1012654484242058, 0.032880014161180894),
+}
+VN_EINSUM = {
     (2, None): (0.05624543731321354, 0.03940965722849484),
     (2, 5): (-0.032430438459042234, 0.03439705779424018),
     (3, None): (0.08753258508088532, 0.0728432711161704),
@@ -143,6 +165,24 @@ def test_v1_golden_bitwise(spec3, bank3):
     for (use_shift, seed), want in V1.items():
         est = v1_estimate(bank3, spec3, shift, query(SINE, use_shift), 1e-2, 300, seed=seed)
         assert (est.value, est.std_error) == want, (use_shift, seed)
+
+
+def test_iterates_match_einsum_goldens(spec3, bank3):
+    # Moving sigma^2 into the weights and the contraction onto BLAS changes
+    # the rounding only; dropping sigma^2 or applying it twice moves every value.
+    def close(est, want):
+        assert est.value == pytest.approx(want[0], rel=1e-12, abs=0.0)
+        assert est.std_error == pytest.approx(want[1], rel=1e-12, abs=0.0)
+
+    shift = solve_flow(spec3, SINE, 0.2, X, GRID)
+    for (use_shift, seed), want in V1_EINSUM.items():
+        close(v1_estimate(bank3, spec3, shift, query(SINE, use_shift), 1e-2, 300,
+                          seed=seed), want)
+    for (order, seed), want in VN_EINSUM.items():
+        mesh, field = VN_BITWISE_SETUP[order]
+        shift = solve_flow(spec3, field, 0.2, X, GRID)
+        close(vn_estimate(bank3, spec3, shift, query(field, True), order, mesh, 120,
+                          seed=seed), want)
 
 
 def test_vn_golden(spec3, bank3):
