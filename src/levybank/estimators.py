@@ -25,13 +25,21 @@ Conventions shared by the iterate estimators:
   forward from s through the chosen nodes.  Each interval's factors that do
   not depend on the state are built once, when the walk creates it; a leaf
   only pushes the state.  The clocks are read one mesh bin at a time (k+1
-  values per selected row), so at order 1 the walk holds eleven (n, dim)
-  panels, reused throughout (a twelfth when a bin spans more than
-  CONTRACT_PIECE fine steps), two (J+1, dim) forcing tables and one bin of
-  clock values, whatever the fine step.  From order 2 on it also keeps the
-  per-bin covariances, the node states and F for every node pair, so the
-  drift is evaluated once per node and once per pushed state.  The drift may
-  be handed a panel that the walk overwrites after the call.
+  values per selected row), so at order 1 each walker (below) holds eleven
+  (n, dim) panels, reused throughout (a twelfth when a bin spans more than
+  CONTRACT_PIECE fine steps), and one bin of clock values, whatever the fine
+  step; the call shares two (J+1, dim) forcing tables when there is a shift.
+  From order 2 on it also keeps the per-bin covariances, the node states and
+  F for every node pair, so the drift is evaluated once per node and once
+  per pushed state.  The drift may be handed a panel that the walk
+  overwrites after the call.
+* The outermost nodes are walked on two threads: one helper thread takes the
+  nodes below _split(J, order), about half the leaves, in a walker of its
+  own panels and first re-accumulates the bins above them, so its running
+  covariances have the caller's bits; this thread walks the rest.  The
+  helper's node sums are added after this thread's in the same descending
+  order, so every value and drift call count are those of one walk on one
+  thread.  The drift may be called from both threads at once.
 * Covariance entries are floored at 1e-300 before inversion or square root;
   they are a.s. positive but can underflow for lambda = 1e4 when the clock
   puts almost no mass near the interval's right end.
@@ -44,9 +52,12 @@ Conventions shared by the iterate estimators:
 
 from __future__ import annotations
 
+import copy
 import math
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
+from operator import add
 from typing import Optional
 
 import numpy as np
@@ -294,6 +305,7 @@ class _MeshFrame:
       F_from_s[b] forcing convolution F_{s,tau_b}                 (J+1, N)
       F_to_t[a]   forcing convolution F_{tau_a,t}                 (J+1, N)
       F[a, b]     F_{tau_a,tau_b} for every node pair, order >= 2 (J+1, J+1, N)
+                  (the three forcing tables exist only with a shift)
       levels[l-1] five (n, N) panels of simplex level l: its running
                   covariances and the factors of its current interval
       scratch     seven (n, N) panels reused by every interval, node and
@@ -301,7 +313,9 @@ class _MeshFrame:
     The clocks are read one mesh bin at a time, k+1 values per selected row
     (family f < order: sub paths; f = order: the records).  From order 2 on
     the earlier nodes revisit every bin and node, so their partials,
-    checkpoints and states are kept; order 1 streams them.
+    checkpoints and states are kept; order 1 streams them.  Everything but
+    the panels, the clock buffer and the last checkpoint read is read-only
+    once built, so a walker() copy shares it with the frame.
     """
 
     def __init__(self, bank: SimulationBank, spec: ProblemSpec,
@@ -338,11 +352,13 @@ class _MeshFrame:
         self.w2[self.w2 < np.finfo(float).tiny] = 0.0
         self.pieces = [slice(p, p + CONTRACT_PIECE) for p in range(0, k_fine, CONTRACT_PIECE)]
         # column recurrence F[a, b] = e^{hA} F[a, b-1] + F[b-1, b] for all a < b
-        # at once; its row 0 is F_from_s, and it ends as column J
-        self.F_from_s = np.zeros((J + 1, spec.dim))
-        self.F_to_t = np.zeros((J + 1, spec.dim))
-        self.F = np.zeros((J + 1, J + 1, spec.dim)) if order > 1 else None
+        # at once; its row 0 is F_from_s, and it ends as column J.  Without a
+        # shift there is no forcing and no table.
+        self.F_from_s = self.F_to_t = self.F = None
         if shift is not None:
+            self.F_from_s = np.zeros((J + 1, spec.dim))
+            self.F_to_t = np.zeros((J + 1, spec.dim))
+            self.F = np.zeros((J + 1, J + 1, spec.dim)) if order > 1 else None
             for b, fbin in enumerate(bin_forcings(spec, shift, self.taus), 1):
                 self.F_to_t[:b] = self.prop[1] * self.F_to_t[:b] + fbin
                 self.F_from_s[b] = self.F_to_t[0]
@@ -352,16 +368,29 @@ class _MeshFrame:
         subs = _selection(seed, bank.m_sub, n, order, which=1)
         self.clock_rows = [(bank.sub_values, rows) for rows in subs] \
             + [(bank.record_clock_values, self.rec)]
-        self.increments = np.empty((n, k_fine))
-        self.levels = np.empty((order, 5, n, spec.dim))   # level l at l - 1
-        self.scratch = np.empty((7, n, spec.dim))
-        self.tables, self.chk, self.nodes, self.recent = {}, {}, {}, (None, None)
+        self.panel = (n, spec.dim)
+        self.tables, self.chk, self.nodes = {}, {}, {}
+        self.own_panels()
         self.chk.update({j: self.checkpoint(j) for j in (range(J + 1) if order > 1 else (0, J))})
         if order > 1:  # family 0 only ever serves the last interval, streamed
             self.tables = {f: [self.bin_covariance(f, j, np.empty((n, spec.dim)))
                                for j in range(J)] for f in range(1, order + 1)}
             self.nodes = {j: self.state(j, np.empty((n, spec.dim)), None)
                           for j in range(J - order + 1)}
+
+    def own_panels(self) -> None:
+        """Fresh panels, clock buffer and checkpoint slot: what a walker writes."""
+        n, dim = self.panel
+        self.increments = np.empty((n, self.k))
+        self.levels = np.empty((self.order, 5, n, dim))   # level l at l - 1
+        self.scratch = np.empty((7, n, dim))
+        self.recent = (None, None)
+
+    def walker(self) -> _MeshFrame:
+        """A frame that shares every read-only table and owns its own panels."""
+        other = copy.copy(self)
+        other.own_panels()
+        return other
 
     def bin_covariance(self, f: int, j: int, out: np.ndarray) -> np.ndarray:
         """Covariance of mesh bin j alone for clock family f, anchored at tau_{j+1}.
@@ -421,7 +450,10 @@ class _MeshFrame:
         np.multiply(self.prop[j], self.checkpoint(0), out=z)
         np.subtract(self.checkpoint(j), z, out=z)
         np.multiply(self.diag, z, out=z)
-        np.add(self.prop[j] * self.q.x + self.F_from_s[j], z, out=z)
+        start = self.prop[j] * self.q.x
+        if self.shift is not None:
+            start += self.F_from_s[j]
+        np.add(start, z, out=z)
         return z, self.drift(j, z, drift)
 
     def link(self, level: int, a: int, b: int) -> tuple:
@@ -440,7 +472,9 @@ class _MeshFrame:
         np.multiply(self.diag, dz, out=dz)
         np.sqrt(i_om, out=sqrt_om)
         np.sqrt(np.divide(i_om, i_rec, out=i_om), out=i_om)
-        np.add(np.multiply(i_om, dz, out=shifted), self.forcing(a, b), out=shifted)
+        np.multiply(i_om, dz, out=shifted)
+        if self.shift is not None:
+            shifted += self.forcing(a, b)
         np.divide(dz, np.sqrt(i_rec, out=i_rec), out=dz_rec)
         return a, shifted, sqrt_om, dz_rec
 
@@ -475,33 +509,58 @@ def _leaf(frame: _MeshFrame, links: list) -> np.ndarray:
     return prod
 
 
-def _descend(frame: _MeshFrame, level: int, upper: int, links: list) -> np.ndarray:
-    """Sum over node s_level, walking down from node `upper` (J: from t).
+def _node_sums(frame: _MeshFrame, level: int, upper: int, links: list, lo: int, hi: int):
+    """Per node s_level = j, for j from hi - 1 down to lo, the sum over its tuples.
 
-    Adds the covariances of [tau_j, tau_upper] one bin at a time for the
-    records and for family order - level, builds the interval's factors once,
-    then walks the earlier nodes or, at s_1, closes the tuple.
+    Node sums are added in this descending order at every level.
+
+    Walks down from node `upper` (J: from t), adding the covariances of
+    [tau_j, tau_upper] one bin at a time for the records and for family
+    order - level; bins at or above hi are only accumulated.  Each walked
+    node builds its interval's factors once, then walks the earlier nodes or,
+    at s_1, closes the tuple.
     """
     cov_rec, cov_om = frame.levels[level - 1, :2]
     cov_rec.fill(0.0)
     cov_om.fill(0.0)
-    acc = 0.0
-    for j in range(upper - 1, level - 2, -1):
+    for j in range(upper - 1, lo - 1, -1):
         decay = frame.prop2[upper - (j + 1)]
         frame.accumulate(cov_rec, decay, frame.order, j)
         frame.accumulate(cov_om, decay, frame.order - level, j)
-        below = links + [frame.link(level, j, upper)]
-        acc = acc + (_leaf(frame, below) if level == 1
-                     else _descend(frame, level - 1, j, below))
-    return acc
+        if j < hi:
+            below = links + [frame.link(level, j, upper)]
+            yield (_leaf(frame, below) if level == 1 else
+                   reduce(add, _node_sums(frame, level - 1, j, below, level - 2, j), 0.0))
+
+
+def _split(J: int, order: int) -> int:
+    """The largest k whose outer nodes [order-1, k) carry at most half the leaves.
+
+    Outer node j carries C(j, order-1) leaves, so nodes below k carry C(k, order)
+    of the C(J, order).  k = order - 1 (nothing below) exactly when J == order.
+    """
+    k = order - 1
+    while 2 * math.comb(k + 1, order) <= math.comb(J, order):
+        k += 1
+    return k
 
 
 def _iterate(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShift],
              q: QueryParams, order: int, mesh: float, n: int,
              seed: Optional[int]) -> IterateEstimate:
-    """v^order as a left-Riemann sum over the mesh simplex, one walk for all orders."""
+    """v^order as a left-Riemann sum over the mesh simplex, one walk for all orders.
+
+    A helper thread walks the outer nodes below _split(J, order) in a walker
+    of its own; its node sums are added after this thread's, in order.
+    """
     frame = _MeshFrame(bank, spec, _effective_shift(shift, q), q, mesh, order, n, seed)
-    value, se = _mean_se(frame.h ** order * _descend(frame, order, frame.J, []))
+    J, k = frame.J, _split(frame.J, order)
+    with ThreadPoolExecutor(1) as pool:   # starts its thread at the first submit
+        low = pool.submit(lambda walker: list(_node_sums(walker, order, J, [], order - 1, k)),
+                          frame.walker()) if k >= order else None
+        acc = reduce(add, _node_sums(frame, order, J, [], k, J), 0.0)
+        acc = reduce(add, low.result() if low else [], acc)
+    value, se = _mean_se(frame.h ** order * acc)
     return IterateEstimate(value=value, std_error=se, n_samples=n,
                            order=order, meta=_meta(q))
 
@@ -557,8 +616,9 @@ def v1_estimate(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShi
     the node sum is a left Riemann rule with weight mesh.
 
     Reads the clocks one mesh bin at a time into eleven reused (n_pairs, dim)
-    panels, so the call's memory does not grow with the fine step: about
-    38 MB above the bank for 4000 pairs in dimension 100.
+    panels per walker, so the call's memory does not grow with the fine step.
+    With its two walkers it holds about 86 MB above the bank (43 MB each) for
+    4000 pairs in dimension 100.
     """
     if n_pairs > min(bank.m_ou, bank.m_sub):
         raise ValueError(f"bank too small for n_pairs={n_pairs} "

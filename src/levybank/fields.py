@@ -99,7 +99,11 @@ def bounded_cubic_field(b0: float, y_bar: np.ndarray, sharpness: float) -> Vecto
 
 
 def custom_field(fn: Callable, bound: float) -> VectorFieldSpec:
-    """Wrap a caller-supplied hook fn(t, x) -> array, with sup-norm bound."""
+    """Wrap a caller-supplied hook fn(t, x) -> array, with sup-norm bound.
+
+    The iterate kernel may call the hook from two threads at once, so it must
+    not keep state between calls.
+    """
     return VectorFieldSpec(kind="custom", bound=float(bound), custom_fn=fn)
 
 

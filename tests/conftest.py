@@ -1,8 +1,19 @@
+import threading
+
 import numpy as np
 import pytest
 
 from levybank.bank import generate_bank
 from levybank.core import ProblemSpec
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that leaves a thread running, such as an estimator's helper."""
+    before = set(threading.enumerate())
+    yield
+    extra = [t for t in threading.enumerate() if t not in before]
+    assert not extra, f"threads left running: {extra}"
 
 
 @pytest.fixture(scope="session")

@@ -267,13 +267,108 @@ def test_v1_with_shift_runs(bank1, spec1):
     assert math.isfinite(est.value) and est.std_error > 0.0
 
 
+# ---------------------------------------------------------------------------
+# The kernel's two walkers: the helper thread walks the outer nodes below
+# _split(J, order), the calling thread the rest
+
+
+# (order, mesh) over [0, 1]: 10, 10 and 5 outer nodes
+SPLIT_CASES = ((1, 0.1), (2, 0.1), (3, 0.2))
+
+
+def split_query(spec, field, use_shift=True):
+    x = np.array([0.4, -0.3, 0.2])
+    shift = solve_flow(spec, sine_field(), 0.0, x, TimeGrid(0.0, 1.0, 1e-3))
+    return shift, QueryParams(s=0.0, t=1.0, x=x, sigma_scale=0.8, radius=1.0,
+                              field=field, use_shift=use_shift)
+
+
+def iterate(bank, spec, shift, q, order, mesh, seed=None):
+    if order == 1:
+        est = v1_estimate(bank, spec, shift, q, mesh, 60, seed=seed)
+    else:
+        est = vn_estimate(bank, spec, shift, q, order, mesh, 60, seed=seed)
+    return est.value, est.std_error
+
+
+def test_split_halves_the_leaves():
+    for order in (1, 2, 3):
+        for J in range(order, 60):
+            k = estimators._split(J, order)
+            total = math.comb(J, order)
+            assert 2 * math.comb(k, order) <= total < 2 * math.comb(k + 1, order)
+            assert (k == order - 1) == (J == order)
+
+
+@pytest.mark.parametrize("order, mesh", SPLIT_CASES)
+def test_every_split_gives_the_same_bits(spec3, bank3, monkeypatch, order, mesh):
+    # k = order - 1 leaves every node to the calling thread, k = J every node
+    # to the helper; a short switch interval interleaves the two finely.
+    shift, q = split_query(spec3, sine_field())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in (None, 5):
+            want = iterate(bank3, spec3, shift, q, order, mesh, seed)
+            for k in range(order - 1, round(1.0 / mesh) + 1):
+                monkeypatch.setattr(estimators, "_split", lambda J, order, k=k: k)
+                assert iterate(bank3, spec3, shift, q, order, mesh, seed) == want, (seed, k)
+            monkeypatch.undo()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("order, mesh", SPLIT_CASES)
+@pytest.mark.parametrize("walker", ["helper", "caller"])
+def test_drift_error_surfaces_from_either_walker(spec3, bank3, order, mesh, walker):
+    # The helper fails on its first drift call; the caller fails at the last
+    # outer node, whose state is pushed only in walks below that node, which
+    # the calling thread owns.
+    main = threading.main_thread()
+
+    def drift(t, x):
+        if (threading.current_thread() is not main if walker == "helper"
+                else abs(t - (1.0 - mesh)) < 1e-9):
+            raise Planted(threading.current_thread().name)
+        return np.sin(x)
+
+    _, q = split_query(spec3, custom_field(drift, 1.0), use_shift=False)
+    before = threading.active_count()
+    with pytest.raises(Planted) as info:
+        iterate(bank3, spec3, None, q, order, mesh)
+    assert (str(info.value) == main.name) == (walker == "caller")
+    assert threading.active_count() == before
+
+
+def test_no_thread_when_nodes_equal_order(spec3, bank3, monkeypatch):
+    # [0.4, 1] holds J = order nodes at these meshes, so the helper would
+    # walk none; at mesh 0.3 and order 1 it walks node 0.
+    started, start = [], threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    q = QueryParams(s=0.4, t=1.0, x=np.array([0.4, -0.3, 0.2]), sigma_scale=0.8,
+                    radius=1.0, field=sine_field(), use_shift=False)
+    for order, mesh in ((1, 0.6), (2, 0.3), (3, 0.2)):
+        iterate(bank3, spec3, None, q, order, mesh)
+    assert started == []
+    iterate(bank3, spec3, None, q, 1, 0.3)
+    assert len(started) == 1
+
+
 # Traced memory of one query on banks whose fine grids differ by 4x.  numpy
 # reports its buffers to tracemalloc, so the peak counts every array the call
-# allocates.  A panel is n*N*8 bytes (n pairs, or m_ou records for the
-# gradient); the bound leaves room for the kept tables and iterator buffers.
+# allocates, on either thread.  A panel is n*N*8 bytes (n pairs, or m_ou
+# records for the gradient).  The budget is per walker: it leaves room for
+# one walker's panels, clock bin and iterator buffers and the kept tables.
+# The iterate kernel runs two walkers, each with its own panels, so its
+# budget is twice that of the single-walker gradient.
 MEM_FINE_STEPS = (1e-3, 2.5e-4)
 MEM_GROWTH = 2.0
-MEM_PANELS = 48
+MEM_PANELS_PER_WALKER = 48
 
 
 @pytest.fixture(scope="module")
@@ -298,9 +393,9 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def assert_flat_in_fine_grid(peaks, panel):
+def assert_flat_in_fine_grid(peaks, panel, walkers):
     assert peaks[1] <= MEM_GROWTH * peaks[0], [p / panel for p in peaks]
-    assert max(peaks) <= MEM_PANELS * panel, [p / panel for p in peaks]
+    assert max(peaks) <= walkers * MEM_PANELS_PER_WALKER * panel, [p / panel for p in peaks]
 
 
 @pytest.mark.parametrize("seed", [None, 5])
@@ -311,14 +406,14 @@ def test_v1_memory_flat_in_fine_grid(mem_case, seed):
     n = 200
     peaks = [traced_peak(lambda: v1_estimate(bank, spec, shift, q, 1e-2, n, seed=seed))
              for bank in banks]
-    assert_flat_in_fine_grid(peaks, n * spec.dim * 8)
+    assert_flat_in_fine_grid(peaks, n * spec.dim * 8, walkers=2)
 
 
 def test_gradient_memory_flat_in_fine_grid(mem_case):
     spec, shift, q, banks = mem_case
     peaks = [traced_peak(lambda: ou_gradient(bank, spec, shift, q, np.ones(spec.dim)))
              for bank in banks]
-    assert_flat_in_fine_grid(peaks, banks[0].m_ou * spec.dim * 8)
+    assert_flat_in_fine_grid(peaks, banks[0].m_ou * spec.dim * 8, walkers=1)
 
 
 @pytest.mark.parametrize("block_bytes", [1, 8 * 800 * 7, 1 << 30],
