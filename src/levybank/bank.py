@@ -1,11 +1,14 @@
 """The reusable batch of subordinator paths and stochastic convolutions.
 
-A bank holds M_sub subordinator-only paths (the independent covariance draws
-the iterate estimators need) and M_ou convolution records.  Each record is one
-realization of (L, Ztilde) where Ztilde is the unit-noise stochastic
-convolution int_0^t e^{(t-r)A} dW_{L_r}, stored only at coarse checkpoints.
-No sigma enters generation: queries scale by sigma at read time, which is what
-makes one bank serve every (s, x, sigma, drift) query.
+A bank is a header and three read-only arrays, which the estimators index
+directly: M_sub subordinator-only clock paths `sub_values` (the independent
+covariance draws the iterate estimators need), and M_ou convolution records,
+each one realization of (L, Ztilde) stored as its clock row in
+`record_clock_values` and its checkpoints in `record_checkpoints`.  Ztilde is
+the unit-noise stochastic convolution int_0^t e^{(t-r)A} dW_{L_r}, stored
+only at coarse checkpoints.  No sigma enters generation: queries scale by
+sigma at read time, which is what makes one bank serve every (s, x, sigma,
+drift) query.
 
 Conditionally on the clock, the noise that coarse block b (fine bins
 i = bk .. bk+k-1, with k fine steps of length d per block) adds to component n
@@ -16,11 +19,11 @@ is one centered Gaussian, so each block takes a single standard normal:
 
 V is the covariance integral int e^{-2 lambda (t-r)} dL_r over the block under
 the "L linear within a bin" surrogate, i.e. dL_block @ covariance_weights.
-The covariance quadrature uses the same per-bin weights, so the two are
-consistent and both become exact in the deterministic-clock limit, which is
-the test oracle.  The recurrence runs in float64; precision 4 rounds only the
-stored values.  W_L itself is never stored; every consumer needs only Ztilde
-and L.
+covariance_integral, the covariance of any on-grid window given the clock,
+uses the same per-bin weights, so the two are consistent and both become
+exact in the deterministic-clock limit, which is the test oracle.  The
+recurrence runs in float64; precision 4 rounds only the stored values.  W_L
+itself is never stored; every consumer needs only Ztilde and L.
 
 File format (little endian, magic "LVIB", version 2):
 
@@ -32,12 +35,15 @@ a 104-byte header, so the payload starts 8-byte aligned, followed by three
 contiguous little-endian sections: subordinator-only path values
 (m_sub x (n_fine+1), f8), record clock values (m_ou x (n_fine+1), f8), record
 checkpoints (m_ou x (n_chk+1) x dim, f8 or f4 per the precision flag).
-Version 1 (100-byte header, one normal per fine step) is refused: its
-checkpoints came from a different random stream.
+The header's steps must partition the horizon as generate_bank requires and
+the file size must match the header, else load_bank raises ValueError before
+reading the payload.  Version 1 (100-byte header, one normal per fine step)
+is refused: its checkpoints came from a different random stream.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -45,27 +51,18 @@ import numpy as np
 
 from .core import (GRID_RTOL, DiagonalOperator, ProblemSpec, TimeGrid,
                    covariance_weights)
-from .stable import SubordinatorPath, sample_stable_increment
+from .stable import sample_stable_increment
 from .streams import (DOMAIN_RECORD_BLOCK_GAUSS, DOMAIN_RECORD_CLOCK,
-                      DOMAIN_SUB_PATH, make_rng, stream_key)
+                      DOMAIN_SUB_PATH, make_rng)
 
 MAGIC = b"LVIB"
 FORMAT_VERSION = 2
 _HEADER_FMT = "<4sI32sdddIQQQB11x"
 _HEADER_SIZE = struct.calcsize(_HEADER_FMT)
 
-# Number of load_bank calls since import (or the last reset); lets reuse tests
-# assert that a sweep reads its bank exactly once.
-_load_calls = 0
 
-
-def load_call_count() -> int:
-    return _load_calls
-
-
-def reset_load_call_count() -> None:
-    global _load_calls
-    _load_calls = 0
+class SpecMismatchError(ValueError):
+    """A bank file was generated under a different problem spec."""
 
 
 @dataclass(frozen=True)
@@ -108,17 +105,8 @@ class BankHeader:
                           m_sub=m_sub, m_ou=m_ou, base_seed=seed, precision=prec)
 
 
-@dataclass(frozen=True)
-class ConvolutionRecord:
-    """One realization of (clock L, unit-noise convolution checkpoints)."""
-
-    sub: SubordinatorPath
-    conv_checkpoints: np.ndarray  # (n_chk+1, N), row j at time j*delta_coarse
-    seed: int
-
-
 class SimulationBank:
-    """In-memory bank; strictly read-only after construction or load."""
+    """The header and the three bank arrays, read-only after construction or load."""
 
     def __init__(self, header: BankHeader, sub_values: np.ndarray,
                  record_clock_values: np.ndarray, record_checkpoints: np.ndarray):
@@ -126,8 +114,8 @@ class SimulationBank:
         self.sub_values = sub_values                  # (m_sub, n_fine+1) f8
         self.record_clock_values = record_clock_values  # (m_ou, n_fine+1) f8
         self.record_checkpoints = record_checkpoints  # (m_ou, n_chk+1, N)
-        self.fine_grid = TimeGrid(0.0, header.horizon, header.delta_fine)
-        self.coarse_grid = TimeGrid(0.0, header.horizon, header.delta_coarse)
+        self.fine_grid, self.coarse_grid = _grids(header.horizon, header.delta_fine,
+                                                  header.delta_coarse)
         for arr in (sub_values, record_clock_values, record_checkpoints):
             arr.setflags(write=False)
 
@@ -139,25 +127,25 @@ class SimulationBank:
     def m_ou(self) -> int:
         return self.header.m_ou
 
-    def record(self, i: int) -> ConvolutionRecord:
-        """Convolution record i as a view-backed object."""
-        sub = SubordinatorPath(grid=self.fine_grid, values=self.record_clock_values[i],
-                               seed=stream_key(DOMAIN_RECORD_CLOCK, i))
-        return ConvolutionRecord(sub=sub, conv_checkpoints=self.record_checkpoints[i],
-                                 seed=stream_key(DOMAIN_RECORD_BLOCK_GAUSS, i))
 
-    def checkpoint_index(self, t: float) -> int:
-        """Index of a coarse checkpoint, or ValueError if t is off-grid."""
-        return self.coarse_grid.index_of(t)
+def _grids(horizon: float, delta_fine: float, delta_coarse: float) -> tuple[TimeGrid, TimeGrid]:
+    """The fine and checkpoint grids on [0, horizon], for generation and loading.
 
-
-def _coarse_ratio(delta_fine: float, delta_coarse: float) -> int:
+    ValueError unless both steps divide the horizon and every checkpoint block
+    spans the same whole number of fine steps.
+    """
+    fine = TimeGrid(0.0, horizon, delta_fine)
+    coarse = TimeGrid(0.0, horizon, delta_coarse)
     ratio = delta_coarse / delta_fine
     k = int(round(ratio))
     if k < 1 or abs(ratio - k) > GRID_RTOL * ratio:
         raise ValueError(
             f"delta_coarse {delta_coarse} is not an integer multiple of delta_fine {delta_fine}")
-    return k
+    if fine.n_steps != k * coarse.n_steps:
+        raise ValueError(
+            f"checkpoint grid (step {delta_coarse}) must divide the fine grid "
+            f"({fine.n_steps} steps of {delta_fine})")
+    return fine, coarse
 
 
 def generate_bank(spec: ProblemSpec, delta_fine: float, delta_coarse: float,
@@ -175,14 +163,9 @@ def generate_bank(spec: ProblemSpec, delta_fine: float, delta_coarse: float,
         raise ValueError("m_sub and m_ou must be nonnegative")
     if precision not in (4, 8):
         raise ValueError(f"precision must be 4 or 8 bytes, got {precision}")
-    k_ratio = _coarse_ratio(delta_fine, delta_coarse)
-    fine_grid = TimeGrid(0.0, spec.horizon, delta_fine)
-    n_fine = fine_grid.n_steps
-    if n_fine % k_ratio:
-        raise ValueError(
-            f"checkpoint grid (step {delta_coarse}) must divide the fine grid "
-            f"({n_fine} steps of {delta_fine})")
-    n_blocks = n_fine // k_ratio
+    fine_grid, coarse_grid = _grids(spec.horizon, delta_fine, delta_coarse)
+    n_fine, n_blocks = fine_grid.n_steps, coarse_grid.n_steps
+    k_ratio = n_fine // n_blocks
     lam = spec.lambdas
     d = delta_fine
 
@@ -225,63 +208,28 @@ def generate_bank(spec: ProblemSpec, delta_fine: float, delta_coarse: float,
     return SimulationBank(header, sub_values, record_clock, record_chk)
 
 
-def _fine_window(path: SubordinatorPath, u: float, t: float) -> tuple[int, int]:
-    """Snap [u, t] inward to the fine grid; returns (iu, it) with iu < it.
+def covariance_integral(clock: np.ndarray, d: float, spec: ProblemSpec,
+                        sigma_scale: float, u: float, t: float) -> DiagonalOperator:
+    """Conditional covariance int_u^t e^{2(t-r)A} Q dL_r, given the clock.
 
-    Times within relative tolerance 1e-9 of a grid point hit it exactly;
-    otherwise u rounds up and t rounds down, so the quadrature never uses mass
-    outside the requested window.
-    """
-    grid = path.grid
-    ru = (u - grid.start) / grid.step
-    rt = (t - grid.start) / grid.step
-    iu = int(round(ru))
-    if abs(ru - iu) > GRID_RTOL * max(1.0, abs(ru)):
-        iu = int(np.ceil(ru))
-    it = int(round(rt))
-    if abs(rt - it) > GRID_RTOL * max(1.0, abs(rt)):
-        it = int(np.floor(rt))
-    iu = max(iu, 0)
-    it = min(it, grid.n_steps)
-    if not 0 <= iu < it:
-        raise ValueError(f"need u < t inside the path window, got u={u}, t={t}")
-    return iu, it
-
-
-def covariance_integral(record_or_path, spec: ProblemSpec, sigma_scale: float,
-                        u: float, t: float) -> DiagonalOperator:
-    """Conditional covariance int_u^t e^{2(t-r)A} Q dL_r for one clock draw.
-
-    Per-bin exponential-averaged weights, matching generation: bin with left
-    edge r_i contributes e^{-2 lambda (t - r_i - d)} (1-e^{-2 lambda d})/(2
-    lambda d) dL_i.  u and t are snapped inward to the fine grid (see
-    _fine_window).  Entries are strictly positive whenever t > u.
+    clock is one clock row (n_fine+1 values of L on the fine grid of step d)
+    or an (m, n_fine+1) block of rows; the result is (N,) or (m, N).  u < t
+    must both be fine-grid points (ValueError otherwise).  Per-bin weights
+    match generation: the bin with left edge r_i contributes
+    e^{-2 lambda (t - r_i - d)} (1-e^{-2 lambda d})/(2 lambda d) dL_i, so the
+    quadrature is exact for the deterministic clock.  Entries are strictly
+    positive.  ou_gradient contracts its records through this call, a block
+    of rows at a time.
     """
     if sigma_scale <= 0.0:
         raise ValueError(f"sigma_scale must be positive, got {sigma_scale}")
-    path = record_or_path.sub if isinstance(record_or_path, ConvolutionRecord) else record_or_path
-    iu, it = _fine_window(path, u, t)
-    weights = covariance_weights(spec.lambdas, path.grid.step, it - iu)  # bins iu..it-1
-    dl = np.diff(path.values[iu:it + 1])
-    return (sigma_scale * spec.sigmas) ** 2 * np.einsum("bk,b->k", weights, dl)
-
-
-def convolution_segment(record: ConvolutionRecord, spec: ProblemSpec,
-                        sigma_scale: float, s: float, t: float) -> np.ndarray:
-    """sigma_scale * sqrt(Q) * (Ztilde_t - e^{(t-s)A} Ztilde_s), checkpoints only.
-
-    Equals the stochastic integral int_s^t e^{(t-r)A} sqrt(Q) dW_{L_r} for this
-    record.  s and t must be coarse checkpoints with s <= t; s = t gives 0.
-    """
-    end = record.sub.grid.end
-    checkpoints = TimeGrid(0.0, end, end / (record.conv_checkpoints.shape[0] - 1))
-    js, jt = checkpoints.index_of(s), checkpoints.index_of(t)
-    if js > jt:
-        raise ValueError(f"need s <= t, got s={s}, t={t}")
-    chk = record.conv_checkpoints
-    prop = np.exp(-spec.lambdas * (t - s))
-    return sigma_scale * spec.sigmas * (np.asarray(chk[jt], dtype=float)
-                                        - prop * np.asarray(chk[js], dtype=float))
+    grid = TimeGrid(0.0, d * (clock.shape[-1] - 1), d)
+    iu, it = grid.index_of(u), grid.index_of(t)
+    if iu >= it:
+        raise ValueError(f"need u < t, got u={u}, t={t}")
+    weights = covariance_weights(spec.lambdas, d, it - iu)  # bins iu..it-1
+    dl = np.diff(clock[..., iu:it + 1], axis=-1)
+    return (sigma_scale * spec.sigmas) ** 2 * np.einsum("...b,bk->...k", dl, weights)
 
 
 def save_bank(bank: SimulationBank, path) -> None:
@@ -297,27 +245,26 @@ def save_bank(bank: SimulationBank, path) -> None:
 def load_bank(path, expected_spec: ProblemSpec | None = None) -> SimulationBank:
     """Read a bank file back; value-exact at the declared storage precision.
 
-    Malformed, truncated or oversized files are rejected with a ValueError.
-    When expected_spec is given, its content hash must match the header.
+    Malformed, truncated or oversized files are rejected with a ValueError
+    before any payload is read.  When expected_spec is given, its content hash
+    must match the header, else SpecMismatchError (a ValueError).
     """
-    global _load_calls
-    _load_calls += 1
     with open(path, "rb") as fh:
         header = BankHeader.unpack(fh.read(_HEADER_SIZE))
+        fine, coarse = _grids(header.horizon, header.delta_fine, header.delta_coarse)
         if expected_spec is not None and header.spec_hash != expected_spec.content_hash():
-            raise ValueError("bank was generated under a different problem spec")
-        n_fine = int(round(header.horizon / header.delta_fine))
-        n_blocks = int(round(header.horizon / header.delta_coarse))
-        n_sub = header.m_sub * (n_fine + 1)
-        n_clk = header.m_ou * (n_fine + 1)
-        n_chk = header.m_ou * (n_blocks + 1) * header.dim
+            raise SpecMismatchError("bank was generated under a different problem spec")
+        n_sub = header.m_sub * (fine.n_steps + 1)
+        n_clk = header.m_ou * (fine.n_steps + 1)
+        n_chk = header.m_ou * (coarse.n_steps + 1) * header.dim
+        if os.fstat(fh.fileno()).st_size != \
+                _HEADER_SIZE + 8 * (n_sub + n_clk) + header.precision * n_chk:
+            raise ValueError(f"bank file {path} payload does not match its header")
         chk_dtype = "<f8" if header.precision == 8 else "<f4"
         sub = np.fromfile(fh, dtype="<f8", count=n_sub)
         clk = np.fromfile(fh, dtype="<f8", count=n_clk)
         chk = np.fromfile(fh, dtype=chk_dtype, count=n_chk)
-        if sub.size != n_sub or clk.size != n_clk or chk.size != n_chk or fh.read(1):
-            raise ValueError(f"bank file {path} payload does not match its header")
     return SimulationBank(header,
-                          sub.reshape(header.m_sub, n_fine + 1),
-                          clk.reshape(header.m_ou, n_fine + 1),
-                          chk.reshape(header.m_ou, n_blocks + 1, header.dim))
+                          sub.reshape(header.m_sub, fine.n_steps + 1),
+                          clk.reshape(header.m_ou, fine.n_steps + 1),
+                          chk.reshape(header.m_ou, coarse.n_steps + 1, header.dim))

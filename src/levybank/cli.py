@@ -134,14 +134,14 @@ def _bank_path(cfg, alpha: float, n_alphas: int) -> Path:
 
 
 def _load_bank_checked(path: Path, spec):
-    from .bank import load_bank
+    from .bank import SpecMismatchError, load_bank
     if not path.exists():
         raise _BankFileError(f"bank file not found: {path}")
     try:
         return load_bank(str(path), expected_spec=spec)
+    except SpecMismatchError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     except ValueError as exc:
-        if "spec" in str(exc):
-            raise ConfigError(f"{path}: {exc}") from exc
         raise _BankFileError(f"{path}: {exc}") from exc
 
 
@@ -340,9 +340,7 @@ def cmd_sweep(cfg, args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "sweep.csv", header, rows)
     _write_csv(out / "sweep_timing.csv", header[:6] + ["wall_ms"], timing_rows)
-    from .bank import load_call_count
-    _status(f"sweep: {n_ok}/{len(rows)} rows ok, bank loads this process: "
-            f"{load_call_count()}")
+    _status(f"sweep: {n_ok}/{len(rows)} rows ok")
     print(out / "sweep.csv")
     print(out / "sweep_timing.csv")
     return 0
@@ -368,7 +366,8 @@ def cmd_validate(cfg, args) -> int:
     spec = _make_spec(cfg, cfg.alpha)
     det_bank = generate_bank(spec, cfg.delta_fine, cfg.delta_coarse, 0, 1,
                              cfg.bank_seed, deterministic_clock=True)
-    got = covariance_integral(det_bank.record(0), spec, 1.0, 0.0, cfg.horizon)
+    got = covariance_integral(det_bank.record_clock_values[0], cfg.delta_fine, spec, 1.0,
+                              0.0, cfg.horizon)
     want = covariance_deterministic_clock(spec, 0.0, cfg.horizon)
     cov_err = float(np.max(np.abs(got - want) / want))
     print(f"covariance deterministic-clock max rel err: {cov_err:.3e} (tol 1e-10)")

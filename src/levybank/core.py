@@ -10,6 +10,7 @@ entries, and all operator algebra is elementwise.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -88,7 +89,8 @@ class ProblemSpec:
 class TimeGrid:
     """Uniform partition of [start, end] with step `step`.
 
-    (end - start)/step must be a whole number up to relative tolerance 1e-9.
+    start, end and step must be finite, and (end - start)/step a whole number
+    up to relative tolerance 1e-9.
     """
 
     start: float
@@ -102,6 +104,9 @@ class TimeGrid:
         if self.step <= 0.0:
             raise ValueError(f"step must be positive, got {self.step}")
         ratio = (self.end - self.start) / self.step
+        if not math.isfinite(ratio):
+            raise ValueError(f"grid [{self.start}, {self.end}] with step {self.step} "
+                             "is not a finite partition")
         n = int(round(ratio))
         if n < 1 or abs(ratio - n) > GRID_RTOL * max(1.0, ratio):
             raise ValueError(
@@ -115,10 +120,11 @@ class TimeGrid:
     def index_of(self, t: float) -> int:
         """Index of a grid point, or ValueError if t is off the grid."""
         ratio = (t - self.start) / self.step
-        i = int(round(ratio))
-        if i < 0 or i > self.n_steps or abs(ratio - i) > GRID_RTOL * max(1.0, abs(ratio)):
-            raise ValueError(f"time {t} is not on the grid (step {self.step})")
-        return i
+        if math.isfinite(ratio):
+            i = int(round(ratio))
+            if 0 <= i <= self.n_steps and abs(ratio - i) <= GRID_RTOL * max(1.0, abs(ratio)):
+                return i
+        raise ValueError(f"time {t} is not on the grid (step {self.step})")
 
 
 def covariance_deterministic_clock(spec: ProblemSpec, u: float, t: float) -> DiagonalOperator:

@@ -62,7 +62,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bank import SimulationBank
+from .bank import SimulationBank, covariance_integral
 from .core import GRID_RTOL, ProblemSpec, covariance_weights, phi1
 from .fields import VectorFieldSpec, eval_field
 from .flow import TimeShift, bin_forcings, forcing_convolution
@@ -578,7 +578,7 @@ def _ou_endpoint(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeSh
     e^{(t-s)A}, sigma sqrt(Q)).
     """
     sh = _effective_shift(shift, q)
-    js, jt = bank.checkpoint_index(q.s), bank.checkpoint_index(q.t)
+    js, jt = bank.coarse_grid.index_of(q.s), bank.coarse_grid.index_of(q.t)
     chk = bank.record_checkpoints
     prop = np.exp(-spec.lambdas * (q.t - q.s))
     diag = q.sigma_scale * spec.sigmas
@@ -660,24 +660,22 @@ def ou_gradient(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShi
     Monte Carlo mean over records of u0(Z_t) * <I^{-1} e^{(t-s)A} h, Z_t -
     e^{(t-s)A} x - F_{s,t}>, with I the record covariance over [s, t].  Pure
     diagnostic: validates the covariance and segment plumbing against finite
-    differences.  The covariance contraction stays on einsum: its inner length
-    is the whole window, where BLAS products would change their last bits
-    with the thread count.
+    differences.  The covariance comes from bank.covariance_integral, whose
+    contraction stays on einsum: its inner length is the whole window, where
+    BLAS products would change their last bits with the thread count.
     """
     _check_bank(bank, spec)
     direction = np.ascontiguousarray(direction, dtype=float)
     ind, unit_seg, prop, diag = _ou_endpoint(bank, spec, shift, q)
-    # unit covariance over [s, t] per record, from the fine clock, a block of
-    # records at a time (each row's sum is the same whatever the block)
+    # covariance over [s, t] per record, a block of records at a time (each
+    # row's sum is the same whatever the block)
     fine = bank.fine_grid
-    lo, hi = fine.index_of(q.s), fine.index_of(q.t)
-    w = covariance_weights(spec.lambdas, fine.step, hi - lo)
-    unit_cov = np.empty((bank.m_ou, spec.dim))
-    block = max(1, GRADIENT_BLOCK_BYTES // (8 * (hi - lo)))
+    cov = np.empty((bank.m_ou, spec.dim))
+    block = max(1, GRADIENT_BLOCK_BYTES // (8 * (fine.index_of(q.t) - fine.index_of(q.s))))
     for r in range(0, bank.m_ou, block):
-        clock = bank.record_clock_values[r:r + block, lo:hi + 1]
-        np.einsum("mb,bk->mk", np.diff(clock, axis=1), w, out=unit_cov[r:r + block])
-    cov = np.maximum(diag ** 2 * unit_cov, COV_FLOOR)
+        cov[r:r + block] = covariance_integral(bank.record_clock_values[r:r + block],
+                                               fine.step, spec, q.sigma_scale, q.s, q.t)
+    np.maximum(cov, COV_FLOOR, out=cov)
     weight = np.einsum("mk,mk->m", (prop * direction) / cov, diag * unit_seg)
     value, se = _mean_se(ind * weight)
     meta = _meta(q)

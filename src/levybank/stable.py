@@ -27,22 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeGrid
-
 _TINY = np.finfo(float).tiny
-
-
-@dataclass(frozen=True)
-class SubordinatorPath:
-    """One realization of L on a fine uniform grid.
-
-    values[i] is L at grid point i; values[0] = 0 and the path is strictly
-    increasing.  seed identifies the stream the path was drawn from.
-    """
-
-    grid: TimeGrid
-    values: np.ndarray
-    seed: int
 
 
 def _validate_stable_params(alpha: float, gamma_bar: float, dt: float) -> None:

@@ -6,10 +6,8 @@ the independent families (subordinator-only paths, record clocks, record
 block Gaussians, benchmark paths, ...); the index enumerates objects within a
 family.  The derivation is injective because SeedSequence hashes the entropy tuple
 componentwise, so path i of a bank can be regenerated in isolation and distinct
-objects never share a stream.
-
-For persistence each stream also gets a compact 64-bit key (domain << 56) |
-index, injective for index < 2^56 and domain < 256.
+objects never share a stream.  Domains lie in [0, 256) and indices in
+[0, 2^56).
 """
 
 from __future__ import annotations
@@ -29,20 +27,14 @@ DOMAIN_RECORD_BLOCK_GAUSS = 7  # one normal per (checkpoint block, mode) of a re
 _MAX_INDEX = 1 << 56
 
 
-def stream_key(domain: int, index: int) -> int:
-    """Compact injective 64-bit identifier for a (domain, index) stream."""
-    if not 0 <= domain < 256:
-        raise ValueError(f"domain out of range: {domain}")
-    if not 0 <= index < _MAX_INDEX:
-        raise ValueError(f"index out of range: {index}")
-    return (domain << 56) | index
-
-
 def seed_sequence(base_seed: int, domain: int, index: int) -> np.random.SeedSequence:
     """SeedSequence for stream (base_seed, domain, index)."""
     if base_seed < 0:
         raise ValueError(f"base seed must be nonnegative, got {base_seed}")
-    stream_key(domain, index)  # range validation
+    if not 0 <= domain < 256:
+        raise ValueError(f"domain out of range: {domain}")
+    if not 0 <= index < _MAX_INDEX:
+        raise ValueError(f"index out of range: {index}")
     return np.random.SeedSequence(entropy=(base_seed, domain, index))
 
 

@@ -20,15 +20,14 @@ import time
 import numpy as np
 import pytest
 
-from levybank.bank import (convolution_segment, covariance_integral,
-                           generate_bank, load_bank, save_bank)
+from levybank.bank import covariance_integral, generate_bank, load_bank, save_bank
 from levybank.config import build_config
 from levybank.core import ProblemSpec, TimeGrid, squared_eigenvalues
 from levybank.estimators import (QueryParams, em_benchmark, ou_gradient,
                                  v0_estimate, v1_estimate, vn_estimate)
 from levybank.fields import bounded_cubic_field, sine_field, zero_field
 from levybank.flow import solve_flow
-from levybank.stable import SubordinatorPath, validate_sampler
+from levybank.stable import validate_sampler
 
 pytestmark = pytest.mark.slow
 
@@ -94,11 +93,10 @@ def test_criterion_1_sampler_law():
 def test_criterion_2_covariance_closed_form():
     t0 = time.perf_counter()
     spec = desk_spec(0.75)
-    grid = TimeGrid(0.0, 1.0, 1e-3)
-    det = SubordinatorPath(grid=grid, values=np.linspace(0.0, 1.0, 1001), seed=0)
+    det = np.linspace(0.0, 1.0, 1001)
     worst = 0.0
     for (u, t) in ((0.0, 1.0), (0.13, 0.77)):
-        got = covariance_integral(det, spec, 1.0, u, t)
+        got = covariance_integral(det, 1e-3, spec, 1.0, u, t)
         want = (1.0 - np.exp(-2.0 * spec.lambdas * (t - u))) / (2.0 * spec.lambdas)
         rel = np.max(np.abs(got - want) / want)
         worst = max(worst, rel)
@@ -107,11 +105,11 @@ def test_criterion_2_covariance_closed_form():
     # exact on the deterministic clock and on a stochastic draw alike
     drawn = generate_bank(spec, 1e-3, 1e-2, 1, 0, 3)
     split_worst = 0.0
-    for path in (det, SubordinatorPath(grid=grid, values=drawn.sub_values[0], seed=0)):
+    for clock in (det, drawn.sub_values[0]):
         u, m, t = 0.1, 0.53, 0.98
-        whole = covariance_integral(path, spec, 1.0, u, t)
-        left = covariance_integral(path, spec, 1.0, u, m)
-        right = covariance_integral(path, spec, 1.0, m, t)
+        whole = covariance_integral(clock, 1e-3, spec, 1.0, u, t)
+        left = covariance_integral(clock, 1e-3, spec, 1.0, u, m)
+        right = covariance_integral(clock, 1e-3, spec, 1.0, m, t)
         gap = np.max(np.abs(whole - (np.exp(-2.0 * spec.lambdas * (t - m)) * left + right)))
         split_worst = max(split_worst, gap)
         assert gap < 1e-12, f"splitting identity off by {gap:.2e}"
@@ -238,13 +236,18 @@ def test_criterion_7_structural_properties(tmp_path):
     checks.append(f"zero-drift gap {gap:.4f} <= {bound:.4f}")
 
     # sigma reuse: one bank serves every noise strength by exact rescaling
-    rec = bank.record(0)
-    c1 = covariance_integral(rec, spec, 0.5, 0.2, 0.9)
-    c2 = covariance_integral(rec, spec, 1.0, 0.2, 0.9)
+    clock = bank.record_clock_values[0]
+    c1 = covariance_integral(clock, 1e-3, spec, 0.5, 0.2, 0.9)
+    c2 = covariance_integral(clock, 1e-3, spec, 1.0, 0.2, 0.9)
     assert np.array_equal(c2, 4.0 * c1)
-    s1 = convolution_segment(rec, spec, 0.5, 0.2, 0.9)
-    s2 = convolution_segment(rec, spec, 1.0, 0.2, 0.9)
-    assert np.array_equal(s2, 2.0 * s1)
+    # half the noise and half the radius: the same exits, so v0 to the bit
+    for s, t in ((0.0, 1.0), (0.2, 0.9)):
+        half, unit = (v0_estimate(bank, spec, None,
+                                  QueryParams(s=s, t=t, x=np.zeros(3), sigma_scale=scale,
+                                              radius=scale, field=zero_field(),
+                                              use_shift=False))
+                      for scale in (0.5, 1.0))
+        assert (half.value, half.std_error) == (unit.value, unit.std_error)
     checks.append("sigma rescaling exact")
 
     # gradient representation vs central finite differences, 5 random directions

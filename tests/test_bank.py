@@ -11,12 +11,11 @@ from scipy.stats import kstest
 
 import levybank.bank
 import levybank.stable
-from levybank.bank import (FORMAT_VERSION, MAGIC, ConvolutionRecord, SimulationBank,
-                           convolution_segment, covariance_integral, generate_bank,
-                           load_bank, load_call_count, reset_load_call_count,
-                           save_bank)
-from levybank.core import ProblemSpec, TimeGrid, phi1
-from levybank.stable import SubordinatorPath
+from levybank.bank import (FORMAT_VERSION, MAGIC, SpecMismatchError, covariance_integral,
+                           generate_bank, load_bank, save_bank)
+from levybank.core import ProblemSpec
+from levybank.estimators import QueryParams, ou_gradient, v0_estimate, v1_estimate
+from levybank.fields import sine_field, zero_field
 from levybank.streams import DOMAIN_RECORD_BLOCK_GAUSS
 
 HEADER_FMT = "<4sI32sdddIQQQB11x"
@@ -79,17 +78,17 @@ def test_deterministic_clock_matches_closed_form(det_bank_stiff):
     # the quadrature exact, not just accurate.
     spec, bank = det_bank_stiff
     for (u, t) in ((0.0, 1.0), (0.13, 0.77)):
-        got = covariance_integral(bank.record(0), spec, 1.0, u, t)
+        got = covariance_integral(bank.record_clock_values[0], 1e-3, spec, 1.0, u, t)
         want = np.array([closed_form_covariance(lam, 1.0, t - u) for lam in spec.lambdas])
         assert np.max(np.abs(got / want - 1.0)) < 1e-12
 
 
 def test_covariance_splitting_identity(spec3, bank3):
-    rec = bank3.record(7)
+    clock = bank3.record_clock_values[7]
     s, u, t = 0.0, 0.41, 0.9
-    full = covariance_integral(rec, spec3, 1.0, s, t)
-    left = covariance_integral(rec, spec3, 1.0, s, u)
-    right = covariance_integral(rec, spec3, 1.0, u, t)
+    full = covariance_integral(clock, 1e-3, spec3, 1.0, s, t)
+    left = covariance_integral(clock, 1e-3, spec3, 1.0, s, u)
+    right = covariance_integral(clock, 1e-3, spec3, 1.0, u, t)
     glued = np.exp(-2.0 * spec3.lambdas * (t - u)) * left + right
     assert np.max(np.abs(full / glued - 1.0)) < 1e-12
 
@@ -97,47 +96,37 @@ def test_covariance_splitting_identity(spec3, bank3):
 def test_unit_jump_covariance(spec1):
     # A clock that jumps by 1 in the first fine bin and then stays flat:
     # the integral reduces to the single-bin weight e^{-2 lam (t - d)} phi1(2 lam d).
-    grid = TimeGrid(0.0, 1.0, 1e-3)
-    values = np.concatenate([[0.0], np.ones(1000)])
-    path = SubordinatorPath(grid=grid, values=values, seed=0)
-    got = covariance_integral(path, spec1, 1.0, 0.0, 1.0)
+    clock = np.concatenate([[0.0], np.ones(1000)])
+    got = covariance_integral(clock, 1e-3, spec1, 1.0, 0.0, 1.0)
     assert got[0] == pytest.approx(0.1354707087885013, rel=1e-12)
 
 
-def test_covariance_window_snaps_inward(spec2):
-    bank = generate_bank(spec2, 1e-3, 1e-2, 0, 1, 8)
-    rec = bank.record(0)
-    loose = covariance_integral(rec, spec2, 1.0, 0.13049, 0.77)
-    snapped = covariance_integral(rec, spec2, 1.0, 0.131, 0.77)
-    assert np.array_equal(loose, snapped)
+def test_covariance_rejects_off_grid_window(spec2):
+    clock = generate_bank(spec2, 1e-3, 1e-2, 0, 1, 8).record_clock_values[0]
+    with pytest.raises(ValueError, match="not on the grid"):
+        covariance_integral(clock, 1e-3, spec2, 1.0, 0.13049, 0.77)
+    with pytest.raises(ValueError, match="not on the grid"):
+        covariance_integral(clock, 1e-3, spec2, 1.0, 0.131, 0.7705)
+    with pytest.raises(ValueError, match="not on the grid"):
+        covariance_integral(clock, 1e-3, spec2, 1.0, 0.0, 1.001)
 
 
 def test_covariance_rejects_bad_window(spec3, bank3):
-    rec = bank3.record(0)
+    clock = bank3.record_clock_values[0]
     with pytest.raises(ValueError):
-        covariance_integral(rec, spec3, 1.0, 0.5, 0.5)
+        covariance_integral(clock, 1e-3, spec3, 1.0, 0.5, 0.5)
     with pytest.raises(ValueError):
-        covariance_integral(rec, spec3, 1.0, 0.6, 0.4)
+        covariance_integral(clock, 1e-3, spec3, 1.0, 0.6, 0.4)
     with pytest.raises(ValueError):
-        covariance_integral(rec, spec3, 0.0, 0.0, 1.0)
+        covariance_integral(clock, 1e-3, spec3, 0.0, 0.0, 1.0)
 
 
-def test_segment_telescoping(spec3, bank3):
-    rec = bank3.record(3)
-    s, u, t = 0.1, 0.47, 0.9
-    full = convolution_segment(rec, spec3, 1.0, s, t)
-    glued = np.exp(-spec3.lambdas * (t - u)) * convolution_segment(rec, spec3, 1.0, s, u) \
-        + convolution_segment(rec, spec3, 1.0, u, t)
-    assert np.max(np.abs(full - glued)) < 1e-12
-    assert np.all(convolution_segment(rec, spec3, 1.0, 0.3, 0.3) == 0.0)
-
-
-def test_segment_requires_checkpoints(spec3, bank3):
-    rec = bank3.record(0)
-    with pytest.raises(ValueError):
-        convolution_segment(rec, spec3, 1.0, 0.0, 0.505)
-    with pytest.raises(ValueError):
-        convolution_segment(rec, spec3, 1.0, 0.5, 0.4)
+def test_covariance_of_a_block_is_its_rows(spec3, bank3):
+    # A block of clock rows gives, row for row, the bits of one row at a time.
+    block = covariance_integral(bank3.record_clock_values[:5], 1e-3, spec3, 0.7, 0.2, 0.9)
+    rows = [covariance_integral(c, 1e-3, spec3, 0.7, 0.2, 0.9)
+            for c in bank3.record_clock_values[:5]]
+    assert np.array_equal(block, np.stack(rows))
 
 
 def test_checkpoint_law_is_gaussian(spec2):
@@ -146,8 +135,7 @@ def test_checkpoint_law_is_gaussian(spec2):
     # test against N(0, 1) at both an interior and the final checkpoint.
     bank = generate_bank(spec2, 1e-3, 1e-2, 0, 1500, 314)
     for t_query, j in ((0.37, 37), (1.0, 100)):
-        unit = np.stack([covariance_integral(bank.record(i), spec2, 1.0, 0.0, t_query)
-                         for i in range(bank.m_ou)])
+        unit = covariance_integral(bank.record_clock_values, 1e-3, spec2, 1.0, 0.0, t_query)
         z = np.asarray(bank.record_checkpoints[:, j, :]) / np.sqrt(unit)
         for k in range(spec2.dim):
             assert kstest(z[:, k], "norm").pvalue > 0.01
@@ -164,8 +152,9 @@ def test_block_increments_are_gaussian(spec2):
     delta = bank.header.delta_coarse
     chk = np.asarray(bank.record_checkpoints)
     incr = chk[:, 1:] - np.exp(-spec2.lambdas * delta) * chk[:, :-1]
-    var = np.array([[covariance_integral(bank.record(i), spec2, 1.0, j * delta, (j + 1) * delta)
-                     for j in range(n_blocks)] for i in range(bank.m_ou)])
+    var = np.stack([covariance_integral(bank.record_clock_values, 1e-3, spec2, 1.0,
+                                        j * delta, (j + 1) * delta)
+                    for j in range(n_blocks)], axis=1)
     z = incr / np.sqrt(var)
     level = 0.01 / (n_blocks * spec2.dim)
     for k in range(spec2.dim):
@@ -187,8 +176,9 @@ def test_consecutive_checkpoints_decay_by_one_block():
     bank = generate_bank(spec, 1e-3, 1e-2, 0, 400, 316)
     chk = np.asarray(bank.record_checkpoints)
     n_blocks, delta = chk.shape[1] - 1, bank.header.delta_coarse
-    v = np.array([[covariance_integral(bank.record(i), spec, 1.0, j * delta, (j + 1) * delta)
-                   for j in range(n_blocks)] for i in range(bank.m_ou)])
+    v = np.stack([covariance_integral(bank.record_clock_values, 1e-3, spec, 1.0,
+                                      j * delta, (j + 1) * delta)
+                  for j in range(n_blocks)], axis=1)
     decay = np.exp(-spec.lambdas * delta)
     big_v = np.zeros_like(v)
     for j in range(1, n_blocks):
@@ -223,13 +213,19 @@ def test_one_normal_per_block_and_mode(spec3, monkeypatch):
 
 
 def test_sigma_rescaling_is_exact(spec3, bank3):
-    rec = bank3.record(5)
-    cov1 = covariance_integral(rec, spec3, 1.0, 0.0, 1.0)
-    cov2 = covariance_integral(rec, spec3, 2.0, 0.0, 1.0)
+    clock = bank3.record_clock_values[5]
+    cov1 = covariance_integral(clock, 1e-3, spec3, 1.0, 0.0, 1.0)
+    cov2 = covariance_integral(clock, 1e-3, spec3, 2.0, 0.0, 1.0)
     assert np.array_equal(cov2, 4.0 * cov1)
-    seg1 = convolution_segment(rec, spec3, 1.0, 0.0, 1.0)
-    seg2 = convolution_segment(rec, spec3, 2.0, 0.0, 1.0)
-    assert np.array_equal(seg2, 2.0 * seg1)
+    # Halving sigma and the radius halves the endpoint and the threshold
+    # exactly, so v0 keeps its value and standard error to the bit.
+    for s, t in ((0.0, 1.0), (0.2, 0.9)):
+        half, unit = (v0_estimate(bank3, spec3, None,
+                                  QueryParams(s=s, t=t, x=np.zeros(3), sigma_scale=scale,
+                                              radius=scale, field=zero_field(),
+                                              use_shift=False))
+                      for scale in (0.5, 1.0))
+        assert (half.value, half.std_error) == (unit.value, unit.std_error)
 
 
 def test_queries_never_invoke_sampler(spec3, bank3, monkeypatch):
@@ -238,23 +234,11 @@ def test_queries_never_invoke_sampler(spec3, bank3, monkeypatch):
         raise AssertionError("stable sampler invoked during a bank query")
 
     monkeypatch.setattr(levybank.stable, "_standard_one_sided", boom)
-    rec = bank3.record(0)
-    covariance_integral(rec, spec3, 0.7, 0.0, 1.0)
-    convolution_segment(rec, spec3, 0.7, 0.0, 1.0)
-
-
-def test_checkpoint_index(bank3):
-    assert bank3.checkpoint_index(0.0) == 0
-    assert bank3.checkpoint_index(0.37) == 37
-    assert bank3.checkpoint_index(1.0) == 100
-    with pytest.raises(ValueError):
-        bank3.checkpoint_index(0.375)
-
-
-def test_record_views(bank3):
-    rec = bank3.record(4)
-    assert np.shares_memory(rec.sub.values, bank3.record_clock_values)
-    assert np.shares_memory(rec.conv_checkpoints, bank3.record_checkpoints)
+    q = QueryParams(s=0.0, t=1.0, x=np.full(3, 0.3), sigma_scale=0.7, radius=1.0,
+                    field=sine_field(), use_shift=False)
+    v0_estimate(bank3, spec3, None, q)
+    v1_estimate(bank3, spec3, None, q, 0.1, 50)
+    ou_gradient(bank3, spec3, None, q, np.ones(3))
 
 
 def test_grid_divisibility_enforced(spec3):
@@ -273,15 +257,11 @@ def test_sub_only_bank(spec3):
 def test_save_load_roundtrip(tmp_path, spec3, bank3):
     path = tmp_path / "bank.lvib"
     save_bank(bank3, path)
-    reset_load_call_count()
     loaded = load_bank(path, expected_spec=spec3)
-    assert load_call_count() == 1
     assert loaded.header == bank3.header
     assert np.array_equal(loaded.sub_values, bank3.sub_values)
     assert np.array_equal(loaded.record_clock_values, bank3.record_clock_values)
     assert np.array_equal(loaded.record_checkpoints, bank3.record_checkpoints)
-    load_bank(path)
-    assert load_call_count() == 2
 
 
 def test_half_precision_roundtrip(tmp_path, spec3):
@@ -340,7 +320,7 @@ def test_load_rejects_wrong_spec(tmp_path, spec3, bank3):
     other = ProblemSpec(alpha=0.65, gamma_bar=1.0, dim=3,
                         lambdas=np.array([1.0, 4.0, 9.0]), sigmas=np.ones(3),
                         horizon=1.0)
-    with pytest.raises(ValueError, match="spec"):
+    with pytest.raises(SpecMismatchError, match="spec"):
         load_bank(path, expected_spec=other)
 
 

@@ -5,14 +5,20 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import struct
 from pathlib import Path
 
 import pytest
 
+import levybank.bank
 import levybank.estimators
 from levybank import cli
-from levybank.bank import load_call_count, reset_load_call_count
+from levybank.bank import load_bank
 from levybank.estimators import IterateEstimate
+
+HEADER_FMT = "<4sI32sdddIQQQB11x"
+HEADER_FIELDS = ("magic", "version", "spec_hash", "delta_fine", "delta_coarse",
+                 "horizon", "dim", "m_sub", "m_ou", "base_seed", "precision")
 
 
 def conf_text(out_dir: Path, extra: str = "") -> str:
@@ -100,12 +106,9 @@ def test_figure_outputs_one_file_per_curve(tmp_path):
         assert [r[0] for r in rows] == ["0.5", "1"]
 
 
-def test_sweep_loads_bank_once(tmp_path):
-    conf = write_conf(tmp_path)
-    bank_file = tmp_path / "shared.lvib"
-    assert cli.main(["bank", "--config", str(conf), "--bank", str(bank_file)]) == 0
-    sweep_conf = tmp_path / "sweep.ini"
-    sweep_conf.write_text(conf_text(tmp_path / "out", f"""
+def sweep_conf_for(tmp_path: Path, bank_file: Path) -> Path:
+    conf = tmp_path / "sweep.ini"
+    conf.write_text(conf_text(tmp_path / "out", f"""
 bank.path = {bank_file}
 query.shift = off
 sweep.s_values = 0, 0.5, 1.0
@@ -113,9 +116,22 @@ sweep.sigmas = 0.5
 sweep.fields = sine
 sweep.x_values = ones
 """))
-    reset_load_call_count()
-    assert cli.main(["sweep", "--config", str(sweep_conf)]) == 0
-    assert load_call_count() == 1
+    return conf
+
+
+def test_sweep_loads_bank_once(tmp_path, monkeypatch):
+    conf = write_conf(tmp_path)
+    bank_file = tmp_path / "shared.lvib"
+    assert cli.main(["bank", "--config", str(conf), "--bank", str(bank_file)]) == 0
+    loads = []
+
+    def counting_load(*args, **kwargs):
+        loads.append(args)
+        return load_bank(*args, **kwargs)
+
+    monkeypatch.setattr(levybank.bank, "load_bank", counting_load)
+    assert cli.main(["sweep", "--config", str(sweep_conf_for(tmp_path, bank_file))]) == 0
+    assert len(loads) == 1
     header, rows = read_csv(tmp_path / "out" / "sweep.csv")
     assert header[:7] == ["s", "t", "x", "sigma", "field", "shift", "status"]
     status = {r[0]: r[6] for r in rows}
@@ -147,6 +163,61 @@ def test_exit_code_missing_bank(tmp_path, capsys):
                       "sweep.fields = sine\nsweep.x_values = ones\n")
     assert cli.main(["sweep", "--config", str(conf)]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_exit_code_corrupt_bank_under_spec_dir(tmp_path, capsys):
+    # A truncated bank is an I/O error (3) whatever its path says.
+    conf = write_conf(tmp_path)
+    bank_file = tmp_path / "spec" / "b.lvib"
+    assert cli.main(["bank", "--config", str(conf), "--bank", str(bank_file)]) == 0
+    raw = bank_file.read_bytes()
+    bank_file.write_bytes(raw[:len(raw) // 2])
+    capsys.readouterr()
+    assert cli.main(["sweep", "--config", str(sweep_conf_for(tmp_path, bank_file))]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_exit_code_wrong_spec_bank(tmp_path, capsys):
+    # A sound bank built under another spec is a configuration error (2).
+    conf = write_conf(tmp_path, "problem.alpha = 0.65\n")
+    bank_file = tmp_path / "other.lvib"
+    assert cli.main(["bank", "--config", str(conf), "--bank", str(bank_file)]) == 0
+    capsys.readouterr()
+    assert cli.main(["sweep", "--config", str(sweep_conf_for(tmp_path, bank_file))]) == 2
+    assert "different problem spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit,resize", [
+    ({"delta_fine": 0.0}, False),
+    ({"delta_coarse": 0.0}, False),
+    ({"horizon": math.inf}, False),
+    # 2.5 fine steps per checkpoint, with a payload sized to match the header
+    ({"delta_coarse": 2.5e-3}, True),
+    # a payload of 2^40 paths, far beyond the file
+    ({"m_sub": 2 ** 40}, False),
+], ids=["delta_fine_zero", "delta_coarse_zero", "horizon_inf", "coarse_not_multiple",
+        "payload_too_large"])
+def test_malformed_header_is_an_io_error(tmp_path, capsys, edit, resize):
+    conf = write_conf(tmp_path)
+    bank_file = tmp_path / "bad.lvib"
+    assert cli.main(["bank", "--config", str(conf), "--bank", str(bank_file)]) == 0
+    raw = bank_file.read_bytes()
+    head = struct.calcsize(HEADER_FMT)
+    fields = dict(zip(HEADER_FIELDS, struct.unpack(HEADER_FMT, raw[:head])))
+    fields.update(edit)
+    payload = raw[head:]
+    if resize:
+        n_fine = round(fields["horizon"] / fields["delta_fine"])
+        n_chk = round(fields["horizon"] / fields["delta_coarse"])
+        payload = bytes(8 * ((fields["m_sub"] + fields["m_ou"]) * (n_fine + 1)
+                             + fields["m_ou"] * (n_chk + 1) * fields["dim"]))
+    bank_file.write_bytes(struct.pack(HEADER_FMT, *fields.values()) + payload)
+    with pytest.raises(ValueError):
+        load_bank(bank_file)
+    capsys.readouterr()
+    assert cli.main(["sweep", "--config", str(sweep_conf_for(tmp_path, bank_file))]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_exit_code_numerical_failure(tmp_path, monkeypatch):

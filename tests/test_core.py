@@ -92,10 +92,21 @@ def test_time_grid_basics():
         grid.index_of(0.3)
     with pytest.raises(ValueError):
         grid.index_of(1.25)
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            grid.index_of(t)
     with pytest.raises(ValueError):
         TimeGrid(0.0, 1.0, 0.3)  # step does not divide the span
     with pytest.raises(ValueError):
         TimeGrid(0.5, 0.5, 0.1)
+
+
+@pytest.mark.parametrize("start,end,step", [
+    (0.0, math.inf, 0.1), (-math.inf, 1.0, 0.1), (0.0, 1.0, math.inf),
+    (0.0, 1.0, math.nan), (math.nan, 1.0, 0.1), (0.0, 1.0, 1e-310)])
+def test_time_grid_rejects_non_finite(start, end, step):
+    with pytest.raises(ValueError):
+        TimeGrid(start, end, step)
 
 
 @settings(max_examples=50, deadline=None)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from levybank.streams import (DOMAIN_BENCHMARK, DOMAIN_RECORD_BLOCK_GAUSS,
                               DOMAIN_RECORD_CLOCK, DOMAIN_RECORD_GAUSS,
                               DOMAIN_SELECTION, DOMAIN_SUB_PATH, DOMAIN_VALIDATE,
-                              make_rng, seed_sequence, stream_key)
+                              make_rng, seed_sequence)
 
 ALL_DOMAINS = (DOMAIN_SUB_PATH, DOMAIN_RECORD_CLOCK, DOMAIN_RECORD_GAUSS,
                DOMAIN_BENCHMARK, DOMAIN_VALIDATE, DOMAIN_SELECTION,
@@ -20,28 +20,17 @@ def test_domains_are_distinct_and_part_of_the_file_contract():
     assert ALL_DOMAINS == (1, 2, 3, 4, 5, 6, 7)
 
 
-def test_stream_key_packing():
-    assert stream_key(0, 0) == 0
-    assert stream_key(1, 0) == 1 << 56
-    assert stream_key(3, 17) == (3 << 56) | 17
-    assert stream_key(255, (1 << 56) - 1) == (255 << 56) | ((1 << 56) - 1)
-
-
-def test_stream_key_injective_on_a_grid():
-    keys = {stream_key(d, i)
-            for d in (0, 1, 5, 255) for i in (0, 1, 99, (1 << 56) - 1)}
-    assert len(keys) == 16
-
-
 @pytest.mark.parametrize("domain,index", [(-1, 0), (256, 0), (0, -1), (0, 1 << 56)])
 def test_stream_key_rejects_out_of_range(domain, index):
+    # a stream key (domain, index) outside [0, 256) x [0, 2^56) is refused
     with pytest.raises(ValueError):
-        stream_key(domain, index)
+        seed_sequence(0, domain, index)
 
 
 def test_seed_sequence_entropy_is_the_triple():
     ss = seed_sequence(2024, DOMAIN_RECORD_CLOCK, 41)
     assert ss.entropy == (2024, DOMAIN_RECORD_CLOCK, 41)
+    assert seed_sequence(0, 255, (1 << 56) - 1).entropy == (0, 255, (1 << 56) - 1)
     with pytest.raises(ValueError):
         seed_sequence(-1, DOMAIN_SUB_PATH, 0)
 
