@@ -45,13 +45,15 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (GRID_RTOL, DiagonalOperator, ProblemSpec, TimeGrid,
                    covariance_weights)
-from .stable import sample_stable_increment
+from .stable import increment_scale, kanter_draws, kanter_transform
 from .streams import (DOMAIN_RECORD_BLOCK_GAUSS, DOMAIN_RECORD_CLOCK,
                       DOMAIN_SUB_PATH, make_rng)
 
@@ -59,6 +61,7 @@ MAGIC = b"LVIB"
 FORMAT_VERSION = 2
 _HEADER_FMT = "<4sI32sdddIQQQB11x"
 _HEADER_SIZE = struct.calcsize(_HEADER_FMT)
+GENERATE_CHUNK_BYTES = 1 << 17   # Kanter draws of one chunk of paths, per buffer
 
 
 class SpecMismatchError(ValueError):
@@ -158,6 +161,16 @@ def generate_bank(spec: ProblemSpec, delta_fine: float, delta_coarse: float,
     in isolation and the three families are independent.  deterministic_clock
     replaces every clock increment by delta_fine (variance-oracle test hook);
     Gaussian streams are untouched by the hook.
+
+    The work comes in chunks of up to GENERATE_CHUNK_BYTES // (8 n_fine)
+    sub paths or records, which the calling thread and one helper thread take
+    in turn.  Within a chunk each path draws its uniforms and exponentials
+    from its own stream, one Kanter transform turns the whole block into
+    increments, and a record chunk then scales each record's block normals
+    and runs the checkpoint recurrence over its records in float64, writing
+    them to the output (rounded there at precision 4).  Each path and record
+    has its own stream and every operation acts row by row, so the bytes do
+    not depend on the chunk size or on which thread took a chunk.
     """
     if m_sub < 0 or m_ou < 0:
         raise ValueError("m_sub and m_ou must be nonnegative")
@@ -166,40 +179,77 @@ def generate_bank(spec: ProblemSpec, delta_fine: float, delta_coarse: float,
     fine_grid, coarse_grid = _grids(spec.horizon, delta_fine, delta_coarse)
     n_fine, n_blocks = fine_grid.n_steps, coarse_grid.n_steps
     k_ratio = n_fine // n_blocks
-    lam = spec.lambdas
+    lam, dim = spec.lambdas, spec.dim
     d = delta_fine
-
-    def clock_values(domain: int, index: int) -> np.ndarray:
-        vals = np.empty(n_fine + 1)
-        vals[0] = 0.0
-        if deterministic_clock:
-            vals[1:] = d * np.arange(1, n_fine + 1)
-        else:
-            rng = make_rng(base_seed, domain, index)
-            incr = sample_stable_increment(spec.alpha, spec.gamma_bar, d, rng, size=n_fine)
-            np.cumsum(incr, out=vals[1:])
-        return vals
+    scale = increment_scale(spec.alpha, spec.gamma_bar, d)
+    ramp = d * np.arange(1, n_fine + 1)
+    # one normal per (block, mode), scaled by the block's conditional standard deviation
+    block_weights = covariance_weights(lam, d, k_ratio)
+    decay_blk = np.exp(-lam * d * k_ratio)
 
     sub_values = np.empty((m_sub, n_fine + 1))
-    for i in range(m_sub):
-        sub_values[i] = clock_values(DOMAIN_SUB_PATH, i)
-
     record_clock = np.empty((m_ou, n_fine + 1))
-    for i in range(m_ou):
-        record_clock[i] = clock_values(DOMAIN_RECORD_CLOCK, i)
+    record_chk = np.empty((m_ou, n_blocks + 1, dim), np.float64 if precision == 8 else np.float32)
+    per = max(1, GENERATE_CHUNK_BYTES // (8 * n_fine))
+    jobs = [(DOMAIN_SUB_PATH, lo, min(lo + per, m_sub)) for lo in range(0, m_sub, per)]
+    jobs += [(DOMAIN_RECORD_CLOCK, lo, min(lo + per, m_ou)) for lo in range(0, m_ou, per)]
+    failed = threading.Event()
 
-    # One normal per (block, mode), scaled by the block's conditional standard
-    # deviation; the recurrence then runs over all records at once.
-    chk = np.zeros((m_ou, n_blocks + 1, spec.dim))
-    block_weights = covariance_weights(lam, d, k_ratio)
-    for r in range(m_ou):
-        block_var = np.diff(record_clock[r]).reshape(n_blocks, k_ratio) @ block_weights
-        chk[r, 1:] = np.sqrt(block_var) * make_rng(
-            base_seed, DOMAIN_RECORD_BLOCK_GAUSS, r).standard_normal((n_blocks, spec.dim))
-    decay_blk = np.exp(-lam * d * k_ratio)
-    for b in range(n_blocks):
-        chk[:, b + 1] += decay_blk * chk[:, b]
-    record_chk = chk if precision == 8 else chk.astype(np.float32)
+    def clocks(values: np.ndarray, domain: int, lo: int, hi: int, kanter: list) -> None:
+        values[lo:hi, 0] = 0.0
+        rows = values[lo:hi, 1:]
+        if deterministic_clock:
+            rows[...] = ramp
+            return
+        u, out, scratch = (b[:hi - lo] for b in kanter)
+        for i in range(lo, hi):   # the exponentials wait in the rows they become
+            kanter_draws(make_rng(base_seed, domain, i), u[i - lo], rows[i - lo])
+        kanter_transform(spec.alpha, scale, u, rows, out, scratch)
+        np.cumsum(out, axis=1, out=rows)
+
+    def records(lo: int, hi: int, kanter: list, dl: np.ndarray, std: np.ndarray,
+                decayed: np.ndarray, staged: np.ndarray | None) -> None:
+        clocks(record_clock, DOMAIN_RECORD_CLOCK, lo, hi, kanter)
+        chk = record_chk[lo:hi] if staged is None else staged[:hi - lo]
+        chk[:, 0] = 0.0
+        for r in range(lo, hi):
+            np.subtract(record_clock[r, 1:], record_clock[r, :-1], out=dl)
+            np.sqrt(np.matmul(dl.reshape(n_blocks, k_ratio), block_weights, out=std), out=std)
+            noise = chk[r - lo, 1:]
+            make_rng(base_seed, DOMAIN_RECORD_BLOCK_GAUSS, r).standard_normal(
+                (n_blocks, dim), out=noise)
+            noise *= std
+        decayed = decayed[:hi - lo]
+        for b in range(n_blocks):
+            chk[:, b + 1] += np.multiply(decay_blk, chk[:, b], out=decayed)
+        if staged is not None:   # precision 4: round this chunk's float64 values
+            record_chk[lo:hi] = chk
+
+    def buffers() -> tuple:
+        kanter = [np.empty((per, n_fine)) for _ in range(3)]
+        return kanter, (np.empty(n_fine), np.empty((n_blocks, dim)), np.empty((per, dim)),
+                        np.empty((per, n_blocks + 1, dim)) if precision == 4 else None)
+
+    def work(todo: list, kanter: list, per_record: tuple) -> None:
+        try:
+            for domain, lo, hi in todo:
+                if failed.is_set():
+                    return
+                if domain == DOMAIN_SUB_PATH:
+                    clocks(sub_values, domain, lo, hi, kanter)
+                else:
+                    records(lo, hi, kanter, *per_record)
+        except BaseException:
+            failed.set()   # the other worker stops at its next chunk
+            raise
+
+    # Each worker reuses its buffers chunk after chunk.  This thread allocates
+    # both sets, so the helper leaves no freed buffers in a heap of its own.
+    with ThreadPoolExecutor(1) as pool:   # starts its thread at the first submit
+        helper = pool.submit(work, jobs[1::2], *buffers()) if len(jobs) > 1 else None
+        work(jobs[::2], *buffers())
+        if helper is not None:
+            helper.result()
 
     header = BankHeader(version=FORMAT_VERSION, spec_hash=spec.content_hash(),
                         delta_fine=delta_fine, delta_coarse=delta_coarse,

@@ -398,8 +398,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, metavar="U64",
                         help="base seed override")
     common.add_argument("--threads", type=int, metavar="K",
-                        help="BLAS/OpenMP thread count (the iterate kernel "
-                             "always walks on two threads)")
+                        help="BLAS/OpenMP thread count (bank generation and the "
+                             "iterate kernel always run on two threads; no byte "
+                             "of the bank depends on it)")
     parser = argparse.ArgumentParser(
         prog="levybank",
         description="Tail probabilities for semilinear SDEs with subordinated "

@@ -39,18 +39,53 @@ def _validate_stable_params(alpha: float, gamma_bar: float, dt: float) -> None:
         raise ValueError(f"dt must be positive, got {dt}")
 
 
-def _standard_one_sided(alpha: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Kanter draws with E[exp(-lam*S)] = exp(-lam^alpha), as an array."""
-    u = rng.uniform(0.0, math.pi, size)
-    e = rng.standard_exponential(size)
+def kanter_draws(rng: np.random.Generator, u: np.ndarray, e: np.ndarray) -> None:
+    """Fill u with Uniform(0, pi) draws, then e with Exp(1) draws, from rng.
+
+    `random` scaled by pi is `uniform(0, pi)`'s own arithmetic (0 + pi x), so
+    the stream and the bits are those of `rng.uniform(0.0, math.pi, u.size)`
+    followed by `rng.standard_exponential(e.size)`.
+    """
+    rng.random(out=u)
+    u *= math.pi
+    rng.standard_exponential(out=e)
+
+
+def kanter_transform(alpha: float, scale: float, u: np.ndarray, e: np.ndarray,
+                     out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """out = max(scale * S, tiny) for the Kanter variates S of draws u and e.
+
+    The four arrays share any one shape; u and e are overwritten, scratch is
+    workspace.  Every operation runs in place and in the order of the formula
+    in the module docstring, so a block of paths gives, row for row, the bits
+    of one path at a time.  Increments underflowing to 0 are clamped to the
+    smallest positive normal so paths stay strictly increasing.
+    """
     # Guard the measure-zero edges u=0 (log sin -> -inf twice, NaN) and e=0.
     np.clip(u, _TINY, math.pi * (1.0 - 2.0 ** -48), out=u)
     np.clip(e, _TINY, None, out=e)
     one_m = 1.0 - alpha
-    log_a = (alpha / one_m) * np.log(np.sin(alpha * u)) \
-        + np.log(np.sin(one_m * u)) \
-        - (1.0 / one_m) * np.log(np.sin(u))
-    return np.exp((one_m / alpha) * (log_a - np.log(e)))
+    # log A(u) = (alpha/one_m) log sin(alpha u) + log sin(one_m u) - log sin(u) / one_m
+    np.multiply(u, alpha, out=out)
+    np.log(np.sin(out, out=out), out=out)
+    out *= alpha / one_m
+    np.multiply(u, one_m, out=scratch)
+    out += np.log(np.sin(scratch, out=scratch), out=scratch)
+    np.log(np.sin(u, out=u), out=u)
+    u *= 1.0 / one_m
+    out -= u
+    out -= np.log(e, out=e)
+    out *= one_m / alpha
+    np.exp(out, out=out)
+    out *= scale
+    return np.maximum(out, _TINY, out=out)
+
+
+def _standard_one_sided(alpha: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Kanter draws with E[exp(-lam*S)] = exp(-lam^alpha), as an array."""
+    u, e = np.empty(size), np.empty(size)
+    kanter_draws(rng, u, e)
+    return kanter_transform(alpha, 1.0, u, e, np.empty(size), np.empty(size))
 
 
 def increment_scale(alpha: float, gamma_bar: float, dt: float) -> float:
@@ -67,8 +102,10 @@ def sample_stable_increment(alpha: float, gamma_bar: float, dt: float,
     """
     _validate_stable_params(alpha, gamma_bar, dt)
     n = 1 if size is None else int(size)
-    draws = increment_scale(alpha, gamma_bar, dt) * _standard_one_sided(alpha, rng, n)
-    np.maximum(draws, _TINY, out=draws)
+    u, e = np.empty(n), np.empty(n)
+    kanter_draws(rng, u, e)
+    draws = kanter_transform(alpha, increment_scale(alpha, gamma_bar, dt), u, e,
+                             np.empty(n), np.empty(n))
     return float(draws[0]) if size is None else draws
 
 

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import struct
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -16,7 +21,7 @@ from levybank.bank import (FORMAT_VERSION, MAGIC, SpecMismatchError, covariance_
 from levybank.core import ProblemSpec
 from levybank.estimators import QueryParams, ou_gradient, v0_estimate, v1_estimate
 from levybank.fields import sine_field, zero_field
-from levybank.streams import DOMAIN_RECORD_BLOCK_GAUSS
+from levybank.streams import DOMAIN_RECORD_BLOCK_GAUSS, DOMAIN_RECORD_CLOCK
 
 HEADER_FMT = "<4sI32sdddIQQQB11x"
 
@@ -212,6 +217,112 @@ def test_one_normal_per_block_and_mode(spec3, monkeypatch):
     assert gauss == {(11, DOMAIN_RECORD_BLOCK_GAUSS, r): 100 * 3 for r in range(5)}
 
 
+class OneWorker:
+    """Stands in for the helper thread's pool: runs each submitted call at once."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+    def submit(self, fn, *args):
+        done = Future()
+        try:
+            done.set_result(fn(*args))
+        except BaseException as exc:
+            done.set_exception(exc)
+        return done
+
+
+def bank_digest(bank) -> str:
+    arrays = (bank.sub_values, bank.record_clock_values, bank.record_checkpoints)
+    return hashlib.sha256(b"".join(a.dtype.str.encode() + a.tobytes() for a in arrays)).hexdigest()
+
+
+@pytest.mark.parametrize("m_sub, m_ou, options", [
+    (9, 13, {}),
+    (0, 11, {}),
+    (10, 0, {}),
+    (5, 8, {"deterministic_clock": True}),
+    (6, 9, {"precision": 4}),
+], ids=["m_sub-ne-m_ou", "no-sub-paths", "no-records", "deterministic-clock", "precision-4"])
+def test_bank_bytes_independent_of_chunks_and_workers(spec3, monkeypatch, m_sub, m_ou, options):
+    # Every path and record draws from its own stream and every operation acts
+    # row by row, so neither the chunk size nor the worker that takes a chunk
+    # may move a byte, however often the threads interleave.  With two
+    # workers, both must have drawn.
+    want = bank_digest(generate_bank(spec3, 1e-3, 1e-2, m_sub, m_ou, 12, **options))
+    make_rng = levybank.bank.make_rng
+    for paths in (1, 7, max(m_sub, m_ou)):
+        monkeypatch.setattr(levybank.bank, "GENERATE_CHUNK_BYTES", 8 * 1000 * paths)
+        for pool in (OneWorker, levybank.bank.ThreadPoolExecutor):
+            threads = set()
+
+            def seen(*key):
+                threads.add(threading.get_ident())
+                return make_rng(*key)
+
+            switch = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)   # hand the interpreter over often
+            try:
+                with monkeypatch.context() as m:
+                    m.setattr(levybank.bank, "ThreadPoolExecutor", pool)
+                    m.setattr(levybank.bank, "make_rng", seen)
+                    got = generate_bank(spec3, 1e-3, 1e-2, m_sub, m_ou, 12, **options)
+            finally:
+                sys.setswitchinterval(switch)
+            assert bank_digest(got) == want, (paths, pool)
+            chunks = -(-m_sub // paths) + -(-m_ou // paths)
+            if pool is OneWorker:
+                assert threads <= {threading.get_ident()}
+            elif chunks > 1 and not options.get("deterministic_clock"):
+                assert len(threads) == 2, (paths, threads)
+
+
+@pytest.mark.parametrize("record", [2, 3], ids=["caller", "helper"])
+def test_generation_error_surfaces(spec3, monkeypatch, record):
+    # One record per chunk and no sub paths: the calling thread takes the even
+    # records and the helper the odd ones.  A stream that fails in either
+    # surfaces as its own exception, and the helper thread is joined (the
+    # autouse fixture fails a test that leaves a thread running).
+    make_rng = levybank.bank.make_rng
+    where = []
+
+    def failing(seed, domain, index):
+        if domain == DOMAIN_RECORD_CLOCK and index == record:
+            where.append(threading.current_thread() is threading.main_thread())
+            raise RuntimeError(f"no stream for record {index}")
+        return make_rng(seed, domain, index)
+
+    monkeypatch.setattr(levybank.bank, "GENERATE_CHUNK_BYTES", 8 * 1000)
+    monkeypatch.setattr(levybank.bank, "make_rng", failing)
+    with pytest.raises(RuntimeError, match=f"no stream for record {record}"):
+        generate_bank(spec3, 1e-3, 1e-2, 0, 8, 12)
+    assert where == [record % 2 == 0]
+
+
+def test_precision_4_never_holds_the_f8_checkpoints():
+    # Each chunk's float64 checkpoints are rounded into the float32 output as
+    # the chunk finishes, so generation never holds the float64 checkpoints of
+    # the whole bank, let alone them and their float32 copy (1.5 times their size).
+    dim = 100
+    spec = ProblemSpec(alpha=0.75, gamma_bar=1.0, dim=dim,
+                       lambdas=np.arange(1.0, dim + 1.0) ** 2, sigmas=np.ones(dim),
+                       horizon=1.0)
+    tracemalloc.start()
+    try:
+        bank = generate_bank(spec, 1e-3, 1e-2, 0, 300, 17, precision=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    f8_bytes = 8 * bank.record_checkpoints.size
+    assert peak < f8_bytes, (peak, f8_bytes)
+
+
 def test_sigma_rescaling_is_exact(spec3, bank3):
     clock = bank3.record_clock_values[5]
     cov1 = covariance_integral(clock, 1e-3, spec3, 1.0, 0.0, 1.0)
@@ -234,6 +345,8 @@ def test_queries_never_invoke_sampler(spec3, bank3, monkeypatch):
         raise AssertionError("stable sampler invoked during a bank query")
 
     monkeypatch.setattr(levybank.stable, "_standard_one_sided", boom)
+    monkeypatch.setattr(levybank.stable, "kanter_transform", boom)
+    monkeypatch.setattr(levybank.bank, "kanter_transform", boom)
     q = QueryParams(s=0.0, t=1.0, x=np.full(3, 0.3), sigma_scale=0.7, radius=1.0,
                     field=sine_field(), use_shift=False)
     v0_estimate(bank3, spec3, None, q)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
-from levybank.stable import (_standard_one_sided, increment_scale,
-                             laplace_exponent, sample_stable_increment,
-                             validate_sampler)
+from levybank.stable import (_standard_one_sided, increment_scale, kanter_draws,
+                             kanter_transform, laplace_exponent,
+                             sample_stable_increment, validate_sampler)
 
 
 def rng_of(seed):
@@ -46,6 +47,38 @@ def test_unit_sampler_laplace_pins():
         emp = np.exp(-lam * s)
         se = emp.std(ddof=1) / math.sqrt(n)
         assert abs(emp.mean() - want) <= 4 * se, (alpha, lam)
+
+
+def digest(a: np.ndarray) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+def test_draws_golden_bitwise():
+    """The draws, bit for bit, as recorded (numpy 2.4, x86-64) when the
+    Kanter formula was one expression on freshly allocated arrays."""
+    pins = [(0.55, 1, "1ade70642391dba80747fedbbc63e1757b4fa9b5bc3fef7027924f0c35d32788"),
+            (0.85, 2, "00f84a6f4309685f95a833cc49fcbf73272b693b12b22169452afccfc38c37e7")]
+    for alpha, seed, want in pins:
+        assert digest(sample_stable_increment(alpha, 1.0, 1e-3, rng_of(seed), size=1000)) == want
+    assert sample_stable_increment(0.75, 1.0, 1e-3, rng_of(3)) == 0.00023494756603336227
+    assert digest(_standard_one_sided(0.65, rng_of(4), 500)) == \
+        "f057603552d6c634f77a629a34f51e90c5c6e5022ee4bfdefbcac9efba2170de"
+
+
+def test_kanter_transform_of_a_block_is_its_rows():
+    """One transform over a block of paths, each drawn from its own stream, gives
+    row for row the bits of sampling each path alone; the draws are the
+    stream's uniform(0, pi) values, then its exponentials."""
+    n, scale = 300, increment_scale(0.65, 1.0, 1e-3)
+    u, e = np.empty((5, n)), np.empty((5, n))
+    for i in range(5):
+        kanter_draws(rng_of(40 + i), u[i], e[i])
+        rng = rng_of(40 + i)
+        assert np.array_equal(u[i], rng.uniform(0.0, math.pi, n))
+        assert np.array_equal(e[i], rng.standard_exponential(n))
+    block = kanter_transform(0.65, scale, u, e, np.empty((5, n)), np.empty((5, n)))
+    rows = [sample_stable_increment(0.65, 1.0, 1e-3, rng_of(40 + i), size=n) for i in range(5)]
+    assert np.array_equal(block, np.stack(rows))
 
 
 def test_increment_laplace_full():
