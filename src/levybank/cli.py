@@ -24,7 +24,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, build_config
+from .config import ConfigError, build_config, parse_x
 
 
 class _NumericalFailure(Exception):
@@ -80,17 +80,7 @@ def _status(msg: str) -> None:
 
 def _parse_x(descriptor: str, dim: int):
     import numpy as np
-    desc = descriptor.strip()
-    if desc == "ones":
-        return np.ones(dim)
-    if desc == "zeros":
-        return np.zeros(dim)
-    if desc.startswith("const:"):
-        return np.full(dim, float(desc.split(":", 1)[1]))
-    vals = [float(tok) for tok in desc.split(",") if tok.strip()]
-    if len(vals) != dim:
-        raise ConfigError(f"query.x has {len(vals)} entries, problem.dim is {dim}")
-    return np.asarray(vals)
+    return np.asarray(parse_x(descriptor, dim))
 
 
 def _make_field(cfg, kind: str):

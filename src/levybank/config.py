@@ -15,6 +15,7 @@ The full schema is the KEYS table below; README documents each key.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
@@ -170,9 +171,35 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
+def parse_x(descriptor: str, dim: int) -> list:
+    """The start point named by query.x or an entry of sweep.x_values.
+
+    ones, zeros, const:<v> or dim comma-separated values, all finite.
+    """
+    desc = descriptor.strip()
+    if desc in ("ones", "zeros"):
+        return [1.0 if desc == "ones" else 0.0] * dim
+    try:
+        vals = [float(desc.split(":", 1)[1])] * dim if desc.startswith("const:") \
+            else [float(tok) for tok in desc.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad start point {descriptor!r}: {exc}") from exc
+    if len(vals) != dim:
+        raise ConfigError(f"start point {descriptor!r} has {len(vals)} entries, "
+                          f"problem.dim is {dim}")
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"start point {descriptor!r} must be finite")
+    return vals
+
+
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.profile not in _PROFILES:
         raise ConfigError(f"unknown profile {cfg.profile!r} (desk or paper)")
+    for key, (attr, parser) in KEYS.items():
+        val = getattr(cfg, attr)
+        if parser in (float, _to_float_list) and val is not None:
+            if not all(math.isfinite(v) for v in (val if isinstance(val, list) else [val])):
+                raise ConfigError(f"{key} must be finite, got {val}")
     for name, val in (("problem.dim", cfg.dim), ("bank.m_sub", cfg.m_sub),
                       ("bank.m_ou", cfg.m_ou)):
         if val < 0 or (name == "problem.dim" and val < 1):
@@ -187,8 +214,11 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
                       ("estimator.mesh", cfg.mesh),
                       ("estimator.delta_em", cfg.delta_em),
                       ("query.radius", cfg.radius)):
-        if val <= 0:
+        if not val > 0:
             raise ConfigError(f"{name} must be positive, got {val}")
+    for name, vals in (("query.sigmas", cfg.sigmas), ("sweep.sigmas", cfg.sweep_sigmas)):
+        if not vals or not all(v > 0 for v in vals):
+            raise ConfigError(f"{name} must be a list of positive values, got {vals}")
     if cfg.precision not in (4, 8):
         raise ConfigError(f"bank.precision must be 4 or 8, got {cfg.precision}")
     if cfg.benchmark_method not in ("exp", "euler"):
@@ -202,6 +232,10 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"bank.seed must be an unsigned 64-bit int, got {cfg.bank_seed}")
     if not cfg.s >= 0.0:
         raise ConfigError(f"query.s must be nonnegative, got {cfg.s}")
+    try:
+        parse_x(cfg.x, cfg.dim)
+    except ConfigError as exc:
+        raise ConfigError(f"query.x: {exc}") from exc
     return cfg
 
 

@@ -25,20 +25,31 @@ Conventions shared by the iterate estimators:
   forward from s through the chosen nodes.  Each interval's factors that do
   not depend on the state are built once, when the walk creates it; a leaf
   only pushes the state.  The clocks are read one mesh bin at a time (k+1
-  values per selected row), so at order 1 each walker (below) holds eleven
-  (n, dim) panels, reused throughout (a twelfth when a bin spans more than
+  values per selected row), so at order 1 each walker (below) holds eight
+  (n, dim) panels, reused throughout (a ninth when a bin spans more than
   CONTRACT_PIECE fine steps), and one bin of clock values, whatever the fine
   step; the call shares two (J+1, dim) forcing tables when there is a shift.
-  From order 2 on it also keeps the per-bin covariances, the node states and
-  F for every node pair, so the drift is evaluated once per node and once
-  per pushed state.  The drift may be handed a panel that the walk
-  overwrites after the call.
+  From order 2 on it also keeps, as contiguous stacks of (n, dim) panels,
+  the per-bin covariances, the checkpoints (views of the bank where the
+  rows are), the node states and their drifts, and F for every node pair,
+  so the drift is evaluated once per node and once per pushed state.  The
+  drift may be handed a panel that the walk overwrites after the call.
+* From order 2 on the innermost level (node s_1) is walked in blocks of
+  B = max(1, ROWS // n) consecutive nodes (order 1: B = 1).  A block's
+  covariances, interval factors and pushed states are (B, n, dim) stacks,
+  so one numpy call, and one drift call at each later node, serves B*n
+  rows; the outer levels' factors broadcast against them.  Two walkers
+  then spend their time in numpy calls long enough to overlap rather than
+  in Python, where they take turns.  Each walker holds 4B + 5*order panels.
+  Every stacked operation computes each row as it would alone, and the
+  node sums are still added one node at a time in descending order, so no
+  value depends on B.  The drift may be handed a (B, n, dim) stack.
 * The outermost nodes are walked on two threads: one helper thread takes the
   nodes below _split(J, order), about half the leaves, in a walker of its
   own panels and first re-accumulates the bins above them, so its running
   covariances have the caller's bits; this thread walks the rest.  The
   helper's node sums are added after this thread's in the same descending
-  order, so every value and drift call count are those of one walk on one
+  order, so every value and every drift call are those of one walk on one
   thread.  The drift may be called from both threads at once.
 * Covariance entries are floored at 1e-300 before inversion or square root;
   they are a.s. positive but can underflow for lambda = 1e4 when the clock
@@ -76,6 +87,9 @@ GRADIENT_BLOCK_BYTES = 1 << 20   # clock increments ou_gradient holds at once
 # fine steps per matrix product in a bin's covariance: up to this inner length
 # OpenBLAS gives the same bits for one and two threads (at 1000 it does not)
 CONTRACT_PIECE = 100
+# rows (tuples times nodes) that the innermost simplex level hands to one numpy
+# call from order 2 on: enough that two walkers overlap in numpy, not in Python
+ROWS = 400
 
 
 @dataclass(frozen=True)
@@ -94,10 +108,12 @@ class QueryParams:
         object.__setattr__(self, "x", np.ascontiguousarray(self.x, dtype=float))
         if not 0.0 <= self.s < self.t:
             raise ValueError(f"need 0 <= s < t, got s={self.s}, t={self.t}")
-        if self.sigma_scale <= 0.0:
-            raise ValueError(f"sigma_scale must be positive, got {self.sigma_scale}")
-        if self.radius <= 0.0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not np.all(np.isfinite(self.x)):
+            raise ValueError("x must be finite")
+        if not 0.0 < self.sigma_scale < math.inf:
+            raise ValueError(f"sigma_scale must be finite and positive, got {self.sigma_scale}")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"radius must be finite and positive, got {self.radius}")
 
 
 @dataclass(frozen=True)
@@ -144,9 +160,15 @@ def _effective_shift(shift: Optional[TimeShift], q: QueryParams) -> Optional[Tim
     return shift
 
 
-def _check_bank(bank: SimulationBank, spec: ProblemSpec) -> None:
+def _check_query(spec: ProblemSpec, q: QueryParams) -> None:
+    if q.x.shape != (spec.dim,):
+        raise ValueError(f"x must have shape ({spec.dim},), got {q.x.shape}")
+
+
+def _check_bank(bank: SimulationBank, spec: ProblemSpec, q: QueryParams) -> None:
     if bank.header.spec_hash != spec.content_hash():
         raise ValueError("bank was generated under a different problem spec")
+    _check_query(spec, q)
 
 
 def _selection(seed: Optional[int], m_avail: int, n: int, groups: int,
@@ -224,6 +246,7 @@ def em_benchmark_series(spec: ProblemSpec, q: QueryParams, t_list, n_paths: int,
     """
     if method not in BENCHMARK_METHODS:
         raise ValueError(f"unknown benchmark method {method!r}")
+    _check_query(spec, q)
     if n_paths < 2:
         raise ValueError("need at least 2 benchmark paths")
     t_list = [float(t) for t in t_list]
@@ -306,22 +329,30 @@ class _MeshFrame:
       F_to_t[a]   forcing convolution F_{tau_a,t}                 (J+1, N)
       F[a, b]     F_{tau_a,tau_b} for every node pair, order >= 2 (J+1, J+1, N)
                   (the three forcing tables exist only with a shift)
-      levels[l-1] five (n, N) panels of simplex level l: its running
-                  covariances and the factors of its current interval
-      scratch     seven (n, N) panels reused by every interval, node and
-                  leaf; the seventh holds a bin's later pieces
+      block       nodes s_1 that one pass of the innermost level walks:
+                  max(1, ROWS // n) from order 2 on, 1 at order 1
+      levels[l-1] simplex level l's running covariances (record, family),
+                  two (n, N) panels, and three stacks of one panel per node
+                  of its current block (`block` at level 1, one above): the
+                  block's covariances, which become the factors of its
+                  intervals
+      tmp         a stack of `block` panels for the links and the leaves
+      scratch     three (n, N) panels: a bin's decayed covariance, its
+                  later pieces and, at order 1, the node state
     The clocks are read one mesh bin at a time, k+1 values per selected row
     (family f < order: sub paths; f = order: the records).  From order 2 on
-    the earlier nodes revisit every bin and node, so their partials,
-    checkpoints and states are kept; order 1 streams them.  Everything but
-    the panels, the clock buffer and the last checkpoint read is read-only
-    once built, so a walker() copy shares it with the frame.
+    the earlier nodes revisit every bin and node, so their partials (one
+    (J, n, N) stack per family), checkpoints ((J+1, n, N)) and node states
+    and drifts (two (J-order+1, n, N) stacks) are kept; order 1 streams
+    them.  Everything but the panels, the clock buffer and the last
+    checkpoint read is read-only once built, so a walker() copy shares it
+    with the frame.
     """
 
     def __init__(self, bank: SimulationBank, spec: ProblemSpec,
                  shift: Optional[TimeShift], q: QueryParams, mesh: float,
                  order: int, n: int, seed: Optional[int]):
-        _check_bank(bank, spec)
+        _check_bank(bank, spec, q)
         self.bank, self.q, self.shift, self.order = bank, q, shift, order
         coarse = bank.coarse_grid
         i_s, i_t = coarse.index_of(q.s), coarse.index_of(q.t)
@@ -369,21 +400,34 @@ class _MeshFrame:
         self.clock_rows = [(bank.sub_values, rows) for rows in subs] \
             + [(bank.record_clock_values, self.rec)]
         self.panel = (n, spec.dim)
-        self.tables, self.chk, self.nodes = {}, {}, {}
+        self.block = max(1, ROWS // n) if order > 1 else 1
+        self.tables, self.chk, self.nodes = {}, {}, None
         self.own_panels()
-        self.chk.update({j: self.checkpoint(j) for j in (range(J + 1) if order > 1 else (0, J))})
-        if order > 1:  # family 0 only ever serves the last interval, streamed
-            self.tables = {f: [self.bin_covariance(f, j, np.empty((n, spec.dim)))
-                               for j in range(J)] for f in range(1, order + 1)}
-            self.nodes = {j: self.state(j, np.empty((n, spec.dim)), None)
-                          for j in range(J - order + 1)}
+        if order == 1:
+            self.chk.update({j: self.checkpoint(j) for j in (0, J)})
+            return
+        # every node's checkpoints, (J+1, n, N); a view of the bank when the
+        # rows are a slice and the bank holds doubles
+        self.chk = np.asarray(bank.record_checkpoints[
+            self.rec, i_s:i_t + 1:self.chk_stride], dtype=float).transpose(1, 0, 2)
+        # family 0 only ever serves the last interval, streamed
+        for f in range(1, order + 1):
+            self.tables[f] = np.empty((J, n, spec.dim))
+            for j in range(J):
+                self.bin_covariance(f, j, self.tables[f][j])
+        self.nodes = np.empty((2, J - order + 1, n, spec.dim))   # Z, B(Z)
+        for j in range(J - order + 1):
+            z, drift = self.nodes[:, j]
+            np.copyto(drift, self.state(j, z, drift)[1])
 
     def own_panels(self) -> None:
         """Fresh panels, clock buffer and checkpoint slot: what a walker writes."""
         n, dim = self.panel
         self.increments = np.empty((n, self.k))
-        self.levels = np.empty((self.order, 5, n, dim))   # level l at l - 1
-        self.scratch = np.empty((7, n, dim))
+        self.levels = [(np.empty((2, n, dim)), np.empty((3, width, n, dim)))
+                       for width in [self.block] + [1] * (self.order - 1)]
+        self.tmp = np.empty((self.block, n, dim))
+        self.scratch = np.empty((3, n, dim))
         self.recent = (None, None)
 
     def walker(self) -> _MeshFrame:
@@ -405,28 +449,30 @@ class _MeshFrame:
         first, *rest = self.pieces
         np.matmul(self.increments[:, first], self.w2[first], out=out)
         for piece in rest:
-            out += np.matmul(self.increments[:, piece], self.w2[piece], out=self.scratch[6])
+            out += np.matmul(self.increments[:, piece], self.w2[piece], out=self.scratch[1])
         return out
 
-    def accumulate(self, cov: np.ndarray, decay: np.ndarray, f: int, j: int) -> None:
-        """cov += decay * (bin j's covariance for family f)."""
-        part = self.tables[f][j] if f in self.tables \
-            else self.bin_covariance(f, j, self.scratch[0])
-        np.multiply(decay, part, out=self.scratch[0])
-        cov += self.scratch[0]
+    def accumulate(self, out: np.ndarray, prev: np.ndarray, level: int, upper: int,
+                   j: int) -> None:
+        """out = prev + e^{-2 lambda (tau_upper - tau_{j+1})} (bin j's covariances).
+
+        out[0] and prev[0] are the records', out[1] and prev[1] family
+        order - level's.
+        """
+        decay, part = self.prop2[upper - (j + 1)], self.scratch[0]
+        for i, f in enumerate((self.order, self.order - level)):
+            np.multiply(decay, self.tables[f][j] if f in self.tables
+                        else self.bin_covariance(f, j, part), out=part)
+            np.add(prev[i], part, out=out[i])
 
     def checkpoint(self, j: int) -> np.ndarray:
         """Checkpoints of the selected records at node j, shape (n, N)."""
-        if j in self.chk:
+        if self.order > 1 or j in self.chk:
             return self.chk[j]
         if self.recent[0] != j:
             self.recent = (j, np.asarray(self.bank.record_checkpoints[
                 self.rec, self.i_s_coarse + j * self.chk_stride, :], dtype=float))
         return self.recent[1]
-
-    def forcing(self, a: int, b: int) -> np.ndarray:
-        """F_{tau_a,tau_b}; order 1 only asks for b = J."""
-        return self.F_to_t[a] if self.F is None else self.F[a, b]
 
     def drift(self, j: int, y: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
         """B(tau_j, y) = B0(tau_j, y) - f(tau_j), into out when there is a shift."""
@@ -435,11 +481,16 @@ class _MeshFrame:
             return b
         return np.subtract(b, self.shift.value_at(self.taus[j]), out=out)
 
-    def node(self, j: int) -> tuple:
-        """(Z_{tau_j}, B(tau_j, Z_{tau_j})): kept from order 2 on, else in scratch panels."""
-        if j in self.nodes:
-            return self.nodes[j]
-        return self.state(j, self.scratch[4], self.scratch[5])
+    def node(self, a: int, m: int) -> tuple:
+        """(Z, B(tau_j, Z)) at nodes j = a..a+m-1, as two (m, n, N) stacks.
+
+        Kept from order 2 on.  Order 1 (m = 1) builds its one node in a
+        scratch panel, the drift in the leaf's tmp, which the leaf reads
+        before it writes it.
+        """
+        if self.nodes is not None:
+            return self.nodes[:, a:a + m]
+        return self.state(a, self.scratch[2], self.tmp[:1])
 
     def state(self, j: int, z: np.ndarray, drift: Optional[np.ndarray]) -> tuple:
         """(Z_{tau_j}, B(tau_j, Z_{tau_j})) of the selected records, Z into z.
@@ -456,55 +507,65 @@ class _MeshFrame:
         np.add(start, z, out=z)
         return z, self.drift(j, z, drift)
 
-    def link(self, level: int, a: int, b: int) -> tuple:
-        """Build the state-free factors of interval [tau_a, tau_b] in level's panels.
+    def link(self, level: int, a: int, m: int, b: int) -> tuple:
+        """Build the state-free factors of [tau_j, tau_b], j = a..a+m-1, in level's panels.
 
-        From the level's covariances (record, family) it forms the floored
-        covariances I1, I0 and the record's noise segment dZ, and keeps
-        sqrt(I0/I1) dZ + F_{a,b}, sqrt(I0) and dZ / sqrt(I1).
+        Node a's covariances (record, family) are the level's running ones,
+        node a+i's (i >= 1) are entry i of the level's first two stacks.  It
+        floors them to I1, I0 in place, forms the record's noise segment dZ,
+        and turns the stacks into sqrt(I0/I1) dZ + F_{j,b}, sqrt(I0) and
+        dZ / sqrt(I1), one panel per node in ascending j.  Returns (a,
+        e^{-(tau_b - tau_j)A} as (m, 1, N), the three factors).
         """
-        cov_rec, cov_om, shifted, sqrt_om, dz_rec = self.levels[level - 1]
-        i_rec, i_om, dz = self.scratch[1:4]
-        np.maximum(cov_rec, COV_FLOOR, out=i_rec)
-        np.maximum(cov_om, COV_FLOOR, out=i_om)
-        np.multiply(self.prop[b - a], self.checkpoint(a), out=dz)
+        run, stack = self.levels[level - 1]
+        dz_rec, shifted, sqrt_om = stack[:, :m]
+        for cov, floored in zip(run, (dz_rec, shifted)):
+            np.maximum(floored[1:], COV_FLOOR, out=floored[1:])
+            np.maximum(cov, COV_FLOOR, out=floored[0])
+        dz = self.tmp[:m]
+        prop = self.prop[b - a - m + 1:b - a + 1][::-1, None]
+        starts = self.chk[a:a + m] if self.order > 1 else self.checkpoint(a)
+        np.multiply(prop, starts, out=dz)
         np.subtract(self.checkpoint(b), dz, out=dz)
         np.multiply(self.diag, dz, out=dz)
-        np.sqrt(i_om, out=sqrt_om)
-        np.sqrt(np.divide(i_om, i_rec, out=i_om), out=i_om)
-        np.multiply(i_om, dz, out=shifted)
-        if self.shift is not None:
-            shifted += self.forcing(a, b)
-        np.divide(dz, np.sqrt(i_rec, out=i_rec), out=dz_rec)
-        return a, shifted, sqrt_om, dz_rec
+        np.sqrt(shifted, out=sqrt_om)
+        np.sqrt(np.divide(shifted, dz_rec, out=shifted), out=shifted)
+        np.multiply(shifted, dz, out=shifted)
+        if self.shift is not None:   # order 1 only asks for b = J
+            shifted += self.F_to_t[a] if self.F is None else self.F[a:a + m, b, None]
+        np.divide(dz, np.sqrt(dz_rec, out=dz_rec), out=dz_rec)
+        return a, prop, shifted, sqrt_om, dz_rec
 
 
 def _leaf(frame: _MeshFrame, links: list) -> np.ndarray:
     """Push the state from s through the chosen nodes; product of the interval factors.
 
-    links run from the last node down, each (j_i, sqrt(I0/I1) dZ + F, sqrt(I0),
-    dZ / sqrt(I1)) for [tau_{j_i}, tau_{j_{i+1}}] with tau_{j_{m+1}} = t.  Each
-    interval applies v1_estimate's formula with u, t replaced by its own ends;
-    the indicator enters on the interval ending at t.  The inner product is
-    taken before the push, so a drift that returns its input panel still sees
-    the state it was given.
+    links run from the last node down, each (j_i, e^{-(tau_{j_{i+1}} -
+    tau_{j_i})A}, sqrt(I0/I1) dZ + F, sqrt(I0), dZ / sqrt(I1)) for [tau_{j_i},
+    tau_{j_{i+1}}] with tau_{j_{m+1}} = t; the last, of s_1, holds one stack
+    entry per node of a block of m nodes, and the others broadcast against
+    it.  Each interval applies v1_estimate's formula with u, t replaced by
+    its own ends; the indicator enters on the interval ending at t.  Returns
+    the (m, n) products, one row per node of the block.  The pushed states
+    overwrite the block's first factor, spent by then.  The inner product is
+    taken before the push, so a drift that returns its input panel still
+    sees the state it was given.
     """
-    a = links[-1][0]
-    y, drift = frame.node(a)
-    push, tmp = frame.scratch[1], frame.scratch[2]
+    a, push = links[-1][0], links[-1][2]
+    y, drift = frame.node(a, len(push))
+    tmp = frame.tmp[:len(push)]
     prod = 1.0
     for i in range(len(links) - 1, -1, -1):
-        _, shifted, sqrt_om, dz_rec = links[i]
+        _, prop_ab, shifted, sqrt_om, dz_rec = links[i]
         b = links[i - 1][0] if i else frame.J
-        prop_ab = frame.prop[b - a]
         np.divide(np.multiply(prop_ab, drift, out=tmp), sqrt_om, out=tmp)
-        inner = np.einsum("mk,mk->m", tmp, dz_rec)
+        inner = np.einsum("...k,...k->...", tmp, dz_rec)
         y = np.add(shifted, np.multiply(prop_ab, y, out=tmp), out=push)
         if b == frame.J:
-            norm = np.sqrt(np.add.reduce(np.multiply(y, y, out=tmp), axis=1))
+            norm = np.sqrt(np.add.reduce(np.multiply(y, y, out=tmp), axis=-1))
             inner = (norm > frame.q.radius).astype(float) * inner
         else:
-            a, drift = b, frame.drift(b, y, frame.scratch[3])
+            drift = frame.drift(b, y, tmp)
         prod = prod * inner
     return prod
 
@@ -516,21 +577,31 @@ def _node_sums(frame: _MeshFrame, level: int, upper: int, links: list, lo: int, 
 
     Walks down from node `upper` (J: from t), adding the covariances of
     [tau_j, tau_upper] one bin at a time for the records and for family
-    order - level; bins at or above hi are only accumulated.  Each walked
-    node builds its interval's factors once, then walks the earlier nodes or,
-    at s_1, closes the tuple.
+    order - level; bins at or above hi are only accumulated.  The nodes are
+    walked in blocks of frame.block at level 1 and one at a time above.
+    Each node's covariances are its upper neighbour's plus its own bin: a
+    block's go to one stack entry per node, except the lowest node's, which
+    stay in the running panels for the next block.  Each block builds its
+    intervals' factors once, then walks the earlier nodes or, at s_1,
+    closes its tuples.
     """
-    cov_rec, cov_om = frame.levels[level - 1, :2]
-    cov_rec.fill(0.0)
-    cov_om.fill(0.0)
-    for j in range(upper - 1, lo - 1, -1):
-        decay = frame.prop2[upper - (j + 1)]
-        frame.accumulate(cov_rec, decay, frame.order, j)
-        frame.accumulate(cov_om, decay, frame.order - level, j)
-        if j < hi:
-            below = links + [frame.link(level, j, upper)]
-            yield (_leaf(frame, below) if level == 1 else
-                   reduce(add, _node_sums(frame, level - 1, j, below, level - 2, j), 0.0))
+    width = frame.block if level == 1 else 1
+    run, stack = frame.levels[level - 1]
+    run.fill(0.0)
+    for j in range(upper - 1, hi - 1, -1):
+        frame.accumulate(run, run, level, upper, j)
+    for top in range(hi, lo, -width):
+        a = max(lo, top - width)
+        prev = run
+        for i in range(top - a - 1, 0, -1):
+            frame.accumulate(stack[:2, i], prev, level, upper, a + i)
+            prev = stack[:2, i]
+        frame.accumulate(run, prev, level, upper, a)
+        below = links + [frame.link(level, a, top - a, upper)]
+        if level == 1:
+            yield from _leaf(frame, below)[::-1]
+        else:
+            yield reduce(add, _node_sums(frame, level - 1, a, below, level - 2, a), 0.0)
 
 
 def _split(J: int, order: int) -> int:
@@ -593,7 +664,7 @@ def _ou_endpoint(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeSh
 def v0_estimate(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShift],
                 q: QueryParams) -> IterateEstimate:
     """v^0 = mean of the indicator at the OU endpoint, over all bank records."""
-    _check_bank(bank, spec)
+    _check_bank(bank, spec, q)
     if bank.m_ou < 2:
         raise ValueError("bank holds too few records for v0")
     value, se = _mean_se(_ou_endpoint(bank, spec, shift, q)[0])
@@ -615,9 +686,9 @@ def v1_estimate(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShi
     the record covariance and I0 the independent-path covariance over [u, t];
     the node sum is a left Riemann rule with weight mesh.
 
-    Reads the clocks one mesh bin at a time into eleven reused (n_pairs, dim)
+    Reads the clocks one mesh bin at a time into eight reused (n_pairs, dim)
     panels per walker, so the call's memory does not grow with the fine step.
-    With its two walkers it holds about 86 MB above the bank (43 MB each) for
+    With its two walkers it holds about 68 MB above the bank (34 MB each) for
     4000 pairs in dimension 100.
     """
     if n_pairs > min(bank.m_ou, bank.m_sub):
@@ -637,6 +708,15 @@ def vn_estimate(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShi
     restricted product grid (m = order), vectorized over Monte Carlo tuples.
     Each tuple uses one record plus m independent sub paths; see the module
     docstring for the pairing, the interval-to-family map and the walk.
+
+    From order 2 on the innermost node s_1 is walked in blocks of
+    B = max(1, ROWS // n_tuples) nodes, so a drift call may receive a
+    (B, n_tuples, dim) stack of states.  The call keeps order*J per-bin
+    covariance panels, 2(J - order + 1) node state and drift panels and,
+    unless they are views of the bank, J + 1 checkpoint panels, each
+    (n_tuples, dim) and shared by its two walkers; each walker adds
+    4B + 5*order panels.  At order 2, 100 tuples, dimension 100 and
+    J = 50 that is 198 kept panels (16 MB) and 26 per walker (2.1 MB).
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -664,8 +744,10 @@ def ou_gradient(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShi
     contraction stays on einsum: its inner length is the whole window, where
     BLAS products would change their last bits with the thread count.
     """
-    _check_bank(bank, spec)
+    _check_bank(bank, spec, q)
     direction = np.ascontiguousarray(direction, dtype=float)
+    if direction.shape != (spec.dim,) or not np.all(np.isfinite(direction)):
+        raise ValueError(f"direction must be {spec.dim} finite values, got {direction}")
     ind, unit_seg, prop, diag = _ou_endpoint(bank, spec, shift, q)
     # covariance over [s, t] per record, a block of records at a time (each
     # row's sum is the same whatever the block)

@@ -101,8 +101,10 @@ def bounded_cubic_field(b0: float, y_bar: np.ndarray, sharpness: float) -> Vecto
 def custom_field(fn: Callable, bound: float) -> VectorFieldSpec:
     """Wrap a caller-supplied hook fn(t, x) -> array, with sup-norm bound.
 
-    The iterate kernel may call the hook from two threads at once, so it must
-    not keep state between calls.
+    x has shape (..., N) and the result must have its shape, each row the
+    drift at that row alone: from order 2 on the iterate kernel hands the
+    hook a stacked block of states, (B, n, N).  The kernel may call the hook
+    from two threads at once, so it must not keep state between calls.
     """
     return VectorFieldSpec(kind="custom", bound=float(bound), custom_fn=fn)
 

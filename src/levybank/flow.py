@@ -65,6 +65,8 @@ def solve_flow(spec: ProblemSpec, field: VectorFieldSpec, s: float, x: np.ndarra
     x = np.ascontiguousarray(x, dtype=float)
     if x.shape != (spec.dim,):
         raise ValueError("x must have length dim")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x must be finite")
     i_s = grid.index_of(s)
     h = grid.step
     lam = spec.lambdas

@@ -157,6 +157,21 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert cli.main(["table", "--table", "1", "--config", str(conf2)]) == 2
 
 
+@pytest.mark.parametrize("line", [
+    "query.radius = nan", "query.radius = inf", "estimator.mesh = nan",
+    "bank.delta_fine = nan", "problem.gamma_bar = inf", "query.s = inf",
+    "query.sigmas = 0.5, nan", "query.sigmas = inf", "query.sigmas = 0",
+    "sweep.sigmas = nan", "query.t_values = 0.5, nan", "query.field_b0 = nan",
+    "query.x = const:nan", "query.x = 0.4, inf", "query.x = 0.4",
+])
+def test_exit_code_non_finite_config_value(tmp_path, capsys, line):
+    # NaN passed the positivity checks, and sigmas and x were not checked
+    conf = write_conf(tmp_path, line + "\n")
+    assert cli.main(["table", "--table", "1", "--config", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and line.split(" =")[0] in err
+
+
 def test_exit_code_missing_bank(tmp_path, capsys):
     conf = write_conf(tmp_path, f"bank.path = {tmp_path}/absent.lvib\n"
                       "sweep.s_values = 0\nsweep.sigmas = 1\n"

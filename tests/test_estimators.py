@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from levybank.core import ProblemSpec, TimeGrid, covariance_weights
 from levybank.estimators import (IterateEstimate, QueryParams, em_benchmark,
                                  em_benchmark_series, ou_gradient, partial_sums,
                                  v0_estimate, v1_estimate, vn_estimate)
-from levybank.fields import custom_field, sine_field, zero_field
+from levybank.fields import bounded_cubic_field, custom_field, sine_field, zero_field
 from levybank.flow import solve_flow
 
 # Closed form for the deterministic-clock one-mode case: the endpoint is
@@ -56,6 +57,35 @@ def test_query_params_validation():
         QueryParams(s=0.0, t=1.0, x=np.zeros(1), sigma_scale=0.0, radius=1.0, field=f)
     with pytest.raises(ValueError):
         QueryParams(s=0.0, t=1.0, x=np.zeros(1), sigma_scale=1.0, radius=-1.0, field=f)
+    # non-finite input used to pass and give v0 = 0 or 1 without complaint
+    for x in (np.array([math.nan]), np.array([math.inf]), np.array([0.1, -math.inf])):
+        with pytest.raises(ValueError, match="x"):
+            QueryParams(s=0.0, t=1.0, x=x, sigma_scale=1.0, radius=1.0, field=f)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma_scale"):
+            QueryParams(s=0.0, t=1.0, x=np.zeros(1), sigma_scale=bad, radius=1.0, field=f)
+        with pytest.raises(ValueError, match="radius"):
+            QueryParams(s=0.0, t=1.0, x=np.zeros(1), sigma_scale=1.0, radius=bad, field=f)
+
+
+def test_estimators_reject_malformed_points(spec3, bank3):
+    # x = [0.5] used to broadcast over all three modes, and so did a
+    # gradient direction of one entry
+    q = QueryParams(s=0.0, t=1.0, x=np.full(3, 0.5), sigma_scale=0.8, radius=1.0,
+                    field=sine_field(), use_shift=False)
+    for direction in (np.ones(1), np.ones(4), np.array([1.0, math.nan, 0.0])):
+        with pytest.raises(ValueError, match="direction"):
+            ou_gradient(bank3, spec3, None, q, direction)
+    for x in (np.array([0.5]), np.full(4, 0.5), np.full((1, 3), 0.5)):
+        q = QueryParams(s=0.0, t=1.0, x=x, sigma_scale=0.8, radius=1.0,
+                        field=sine_field(), use_shift=False)
+        for run in (lambda: v0_estimate(bank3, spec3, None, q),
+                    lambda: v1_estimate(bank3, spec3, None, q, 0.1, 60),
+                    lambda: vn_estimate(bank3, spec3, None, q, 2, 0.1, 60),
+                    lambda: ou_gradient(bank3, spec3, None, q, np.ones(3)),
+                    lambda: em_benchmark(spec3, q, 100, 1e-2, 0)):
+            with pytest.raises(ValueError, match="shape"):
+                run()
 
 
 def test_estimate_meta(det_bank1, spec1):
@@ -319,25 +349,66 @@ def test_every_split_gives_the_same_bits(spec3, bank3, monkeypatch, order, mesh)
 
 
 @pytest.mark.parametrize("order, mesh", SPLIT_CASES)
-@pytest.mark.parametrize("walker", ["helper", "caller"])
+@pytest.mark.parametrize("walker", ["helper", "caller", "block"])
 def test_drift_error_surfaces_from_either_walker(spec3, bank3, order, mesh, walker):
     # The helper fails on its first drift call; the caller fails at the last
     # outer node, whose state is pushed only in walks below that node, which
-    # the calling thread owns.
+    # the calling thread owns.  "block" fails on the first stack of states
+    # pushed from several innermost nodes at once, on whichever walker gets
+    # there first; order 1 walks one node per block and never stacks.
     main = threading.main_thread()
 
     def drift(t, x):
-        if (threading.current_thread() is not main if walker == "helper"
-                else abs(t - (1.0 - mesh)) < 1e-9):
+        if walker == "block":
+            fail = x.ndim == 3 and len(x) > 1
+        else:
+            fail = (threading.current_thread() is not main if walker == "helper"
+                    else abs(t - (1.0 - mesh)) < 1e-9)
+        if fail:
             raise Planted(threading.current_thread().name)
         return np.sin(x)
 
     _, q = split_query(spec3, custom_field(drift, 1.0), use_shift=False)
     before = threading.active_count()
-    with pytest.raises(Planted) as info:
+    if walker == "block" and order == 1:
         iterate(bank3, spec3, None, q, order, mesh)
-    assert (str(info.value) == main.name) == (walker == "caller")
+    else:
+        with pytest.raises(Planted) as info:
+            iterate(bank3, spec3, None, q, order, mesh)
+        if walker != "block":
+            assert (str(info.value) == main.name) == (walker == "caller")
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("order, mesh", SPLIT_CASES[1:])
+def test_every_block_gives_the_same_bits(spec3, bank3, monkeypatch, order, mesh):
+    # ROWS = 60 B gives blocks of B innermost nodes on 60 tuples: one node per
+    # block (the walk of one node at a time), blocks that do not divide the
+    # walks, and one block for a whole walk (B >= J); on one walker (every
+    # outer node to the calling thread) and on two, interleaved finely.
+    J = round(1.0 / mesh)
+    cubic = bounded_cubic_field(2.0, np.full(3, 2.0), 10.0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for field in (sine_field(), cubic):
+            _, q = split_query(spec3, field)
+            shift = solve_flow(spec3, field, 0.0, q.x, TimeGrid(0.0, 1.0, 1e-3))
+            for use_shift in (True, False):
+                q = replace(q, use_shift=use_shift)
+                for seed in (None, 5):
+                    monkeypatch.setattr(estimators, "ROWS", 60)
+                    want = iterate(bank3, spec3, shift, q, order, mesh, seed)
+                    for block in (1, 2, 3, 7, J):
+                        monkeypatch.setattr(estimators, "ROWS", 60 * block)
+                        got = iterate(bank3, spec3, shift, q, order, mesh, seed)
+                        assert got == want, (field.kind, use_shift, seed, block)
+                        with monkeypatch.context() as one:
+                            one.setattr(estimators, "_split", lambda J, order: order - 1)
+                            got = iterate(bank3, spec3, shift, q, order, mesh, seed)
+                        assert got == want, (field.kind, use_shift, seed, block, "one walker")
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_no_thread_when_nodes_equal_order(spec3, bank3, monkeypatch):

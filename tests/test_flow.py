@@ -144,6 +144,9 @@ def test_solve_flow_validation():
     with pytest.raises(ValueError):
         solve_flow(spec, sine_field(), 0.0, np.array([1.0]), GRID,
                    method="rk4_explicit")
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            solve_flow(spec, sine_field(), 0.0, np.array([bad]), GRID)
 
 
 def test_euler_mode_close_but_distinct():

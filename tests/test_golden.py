@@ -12,7 +12,9 @@ of its format-1 value).  They pin that refactors keep every value:
 * vn at orders 2 and 3 within 1e-12 relative, because a different walk over
   the simplex may sum the same terms in a different order; and, recorded
   before the kernel streamed its clocks and built each interval once, the
-  number of drift calls at orders 1 to 3;
+  number of drift calls at order 1 and of state rows the drift sees at
+  orders 2 and 3 (one call of 120 rows each until the kernel walked its
+  innermost level in blocks of nodes, which makes fewer, larger calls);
 * v1, and vn at orders 2 and 3, bitwise as the kernel computes them since it
   contracts each mesh bin's clock increments with sigma^2-scaled weights
   through BLAS matrix products, and within 1e-12 relative as they were when
@@ -96,8 +98,9 @@ VN_EINSUM = {
     (3, 5): (0.04300695580609126, 0.06640041779907499),
 }
 VN_BITWISE_SETUP = {2: (4e-2, SINE), 3: (0.1, CUBIC)}
-# order -> (mesh, drift calls) of the same walk on 120 tuples with the sine
-DRIFT_CALLS = {1: (1e-2, 80), 2: (4e-2, 209), 3: (0.1, 118)}
+# order -> (mesh, drift calls at order 1, else state rows) of the same walk on
+# 120 tuples with the sine
+DRIFT_CALLS = {1: (1e-2, 80), 2: (4e-2, 209 * 120), 3: (0.1, 118 * 120)}
 GRADIENT = (0.05807740335188382, 0.0151811524588853)
 # (field, method) -> (value, std_error) at t = 0.5 and 1.0 of em_benchmark_series
 # on 300 paths, step 1e-2, seed 17; the cubic is CUBIC at sharpness 1e4
@@ -206,10 +209,12 @@ def test_vn_golden_bitwise(spec3, bank3, order):
 @pytest.mark.parametrize("order", sorted(DRIFT_CALLS))
 def test_iterate_drift_call_count(spec3, bank3, order):
     # The walk evaluates the drift once per node and once per pushed state.
-    calls = []
+    # From order 2 on one call takes the states pushed from a block of nodes,
+    # so there the rows are counted.
+    rows = []
 
     def sine(t, x):
-        calls.append(t)
+        rows.append(x.size // x.shape[-1])
         return np.sin(x)
 
     mesh, want = DRIFT_CALLS[order]
@@ -219,7 +224,7 @@ def test_iterate_drift_call_count(spec3, bank3, order):
         v1_estimate(bank3, spec3, shift, q, mesh, 120)
     else:
         vn_estimate(bank3, spec3, shift, q, order, mesh, 120)
-    assert len(calls) == want
+    assert (len(rows) if order == 1 else sum(rows)) == want
 
 
 def test_gradient_golden_bitwise(spec3, bank3):
