@@ -296,7 +296,9 @@ def cmd_sweep(cfg, args) -> int:
     header = ["s", "t", "x", "sigma", "field", "shift", "status",
               "v0", "v0_se", "v1", "v1_se"]
     rows, timing_rows = [], []
-    shift_cache = {}
+    # sigma is the innermost loop, so the rows of one (field, x, s) key are
+    # consecutive and one shift at a time is held
+    shift_key, shift = None, None
     n_ok = 0
     for s_val in cfg.sweep_s_values:
         for x_desc in cfg.sweep_x_values:
@@ -309,13 +311,11 @@ def cmd_sweep(cfg, args) -> int:
                         x = _parse_x(x_desc, cfg.dim)
                         fld = _make_field(cfg, field_kind)
                         run = replace(cfg, s=s_val, field_kind=field_kind)
-                        if cfg.use_shift:
-                            ck = (field_kind, x_desc, s_val)
-                            if ck not in shift_cache:
-                                shift_cache[ck] = _solve_shift(run, fld, x)
-                            shift = shift_cache[ck]
-                        else:
-                            shift = None
+                        ck = (field_kind, x_desc, s_val)
+                        if cfg.use_shift and ck != shift_key:
+                            shift_key, shift = None, None   # free the last one first
+                            shift = _solve_shift(run, fld, x)
+                            shift_key = ck
                         q = _query_for(run, sigma, t, x, fld, cfg.use_shift)
                         v0, v1 = _iterates(run, bank, spec, shift, q, 1)
                         _ensure_finite(f"sweep row {key}", v0, v1)

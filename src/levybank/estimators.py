@@ -152,11 +152,19 @@ def _mean_se(samples: np.ndarray) -> tuple[float, float]:
     return float(samples.mean()), se
 
 
-def _effective_shift(shift: Optional[TimeShift], q: QueryParams) -> Optional[TimeShift]:
+def _effective_shift(spec: ProblemSpec, shift: Optional[TimeShift],
+                     q: QueryParams) -> Optional[TimeShift]:
     if not q.use_shift:
         return None
     if shift is None:
         raise ValueError("query has use_shift=True but no shift was supplied")
+    if shift.values.ndim != 2 or shift.values.shape[1] != spec.dim:
+        raise ValueError(f"shift values must have shape (., {spec.dim}), "
+                         f"got {shift.values.shape}")
+    g = shift.grid
+    if round((q.s - g.start) / g.step) < 0 or round((q.t - g.start) / g.step) > g.n_steps:
+        raise ValueError(f"shift covers [{g.start}, {g.end}], "
+                         f"the query needs [{q.s}, {q.t}]")
     return shift
 
 
@@ -624,7 +632,7 @@ def _iterate(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShift]
     A helper thread walks the outer nodes below _split(J, order) in a walker
     of its own; its node sums are added after this thread's, in order.
     """
-    frame = _MeshFrame(bank, spec, _effective_shift(shift, q), q, mesh, order, n, seed)
+    frame = _MeshFrame(bank, spec, _effective_shift(spec, shift, q), q, mesh, order, n, seed)
     J, k = frame.J, _split(frame.J, order)
     with ThreadPoolExecutor(1) as pool:   # starts its thread at the first submit
         low = pool.submit(lambda walker: list(_node_sums(walker, order, J, [], order - 1, k)),
@@ -648,7 +656,7 @@ def _ou_endpoint(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeSh
     chk_s); returns (indicator, unit segment chk_t - e^{(t-s)A} chk_s,
     e^{(t-s)A}, sigma sqrt(Q)).
     """
-    sh = _effective_shift(shift, q)
+    sh = _effective_shift(spec, shift, q)
     js, jt = bank.coarse_grid.index_of(q.s), bank.coarse_grid.index_of(q.t)
     chk = bank.record_checkpoints
     prop = np.exp(-spec.lambdas * (q.t - q.s))

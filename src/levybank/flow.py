@@ -1,13 +1,14 @@
 """Deterministic flow, time shift f(t) = B0(t, x(t)) and forcing convolution.
 
-The flow solves x'(t) = A x(t) + B0(t, x(t)) from (s, x), with x(t) = x frozen
-for t <= s.  The spectrum reaches lambda = 1e4 while the grid step is 1e-3, so
-classic explicit schemes sit far outside their stability region (lambda*h = 10).
-The default integrator is therefore the integrating-factor (Lawson) form of
-RK4: the linear part is propagated exactly, the limit lambda -> 0 is classical
-RK4, a zero field is integrated exactly, and all exponential factors decay so
-nothing can overflow.  An explicit Euler mode is kept for replicating runs that
-used Euler at step 1e-4 (stable there since lambda*h = 1).
+The flow solves x'(t) = A x(t) + B0(t, x(t)) from (s, x), and the time shift
+is f tabulated along it from s to the end of the grid; the estimators read f
+only on their window [s, t], so nothing before s is kept, nor the flow itself.
+The spectrum reaches lambda = 1e4 while the grid step is 1e-3, so classic
+explicit schemes sit far outside their stability region (lambda*h = 10).  The
+integrator is therefore the integrating-factor (Lawson) form of RK4: the
+linear part is propagated exactly, the limit lambda -> 0 is classical RK4, a
+zero field is integrated exactly, and all exponential factors decay so
+nothing can overflow.
 
 The forcing convolution F_{s,t} = int_s^t e^{(t-r)A} f(r) dr is a per-bin sum
 with exact exponential weights (exact for piecewise-constant f and any lambda),
@@ -24,44 +25,36 @@ import numpy as np
 from .core import ProblemSpec, TimeGrid, phi1
 from .fields import VectorFieldSpec, eval_field
 
-FLOW_METHODS = ("exp_rk4", "euler")
-
 
 @dataclass(frozen=True)
 class TimeShift:
-    """The shift f and the flow it comes from, tabulated on a fine grid.
+    """f(t) = B0(t, x(t)) along the flow from (s, x), tabulated from s on.
 
-    values[i] = f(t_i) = B0(t_i, flow_values[i]); flow_values[i] = x for
-    t_i <= s.  origin records the (s, x) the flow started from.
+    grid starts at s and has the solver grid's step and end, and values[j] is
+    f at its j-th time: (n_steps - i_s + 1) * N * 8 bytes for a flow started
+    at step i_s of a solver grid of n_steps steps.
     """
 
     grid: TimeGrid
-    values: np.ndarray       # (n_steps+1, N)
-    flow_values: np.ndarray  # (n_steps+1, N)
-    origin: tuple
+    values: np.ndarray   # (grid.n_steps+1, N)
 
     def value_at(self, t: float) -> np.ndarray:
         """f at a grid time t."""
         return self.values[self.grid.index_of(t)]
 
-    def flow_at(self, t: float) -> np.ndarray:
-        """x(t) at a grid time t."""
-        return self.flow_values[self.grid.index_of(t)]
-
 
 def solve_flow(spec: ProblemSpec, field: VectorFieldSpec, s: float, x: np.ndarray,
-               grid: TimeGrid, method: str = "exp_rk4") -> TimeShift:
-    """Integrate the flow ODE over the grid and tabulate f(t) = B0(t, x(t)).
+               grid: TimeGrid) -> TimeShift:
+    """Integrate the flow ODE from (s, x) over the grid and tabulate f from s on.
 
-    Deterministic; grid step must be <= 1e-3 and s must be a grid point in
-    [0, horizon).
+    Deterministic; the grid step must be <= 1e-3 and s a grid point in
+    [0, horizon) before the grid's end.  The field sees the times of
+    grid.times(), and the shift's grid runs from s to grid.end.
     """
-    if method not in FLOW_METHODS:
-        raise ValueError(f"unknown flow method {method!r}")
     if grid.step > 1e-3 * (1.0 + 1e-12):
         raise ValueError(f"flow grid step must be <= 1e-3, got {grid.step}")
-    if not 0.0 <= s < spec.horizon:
-        raise ValueError(f"need s in [0, horizon), got s={s}")
+    if not 0.0 <= s < min(spec.horizon, grid.end):
+        raise ValueError(f"need s in [0, horizon) before the grid's end, got s={s}")
     x = np.ascontiguousarray(x, dtype=float)
     if x.shape != (spec.dim,):
         raise ValueError("x must have length dim")
@@ -71,40 +64,23 @@ def solve_flow(spec: ProblemSpec, field: VectorFieldSpec, s: float, x: np.ndarra
     h = grid.step
     lam = spec.lambdas
     times = grid.times()
-
-    flow = np.empty((grid.n_steps + 1, spec.dim))
-    flow[: i_s + 1] = x
-    # f(t_i) = B0(t_i, x(t_i)): frozen points before s, then each step's first
-    # stage (or Euler slope), which is B0 at (t_i, x(t_i)), then the end point
-    shift_vals = np.empty_like(flow)
-    if field.kind == "custom":   # only a hook may depend on t
-        for i in range(i_s):
-            shift_vals[i] = eval_field(field, times[i], x)
-    elif i_s:
-        shift_vals[:i_s] = eval_field(field, times[0], x)
-    y = x.copy()
-    if method == "exp_rk4":
-        e_full = np.exp(-lam * h)
-        e_half = np.exp(-lam * (0.5 * h))
-        # products evaluate left to right, so the hoisted factors and the
-        # shared propagated states give the bits of the written-out RK4 stages
-        half_e, full_e, two_e = (0.5 * h) * e_half, h * e_half, 2.0 * e_half
-        for i in range(i_s, grid.n_steps):
-            t = times[i]
-            y_half, y_full = e_half * y, e_full * y
-            n1 = shift_vals[i] = eval_field(field, t, y)
-            n2 = eval_field(field, t + 0.5 * h, y_half + half_e * n1)
-            n3 = eval_field(field, t + 0.5 * h, y_half + (0.5 * h) * n2)
-            n4 = eval_field(field, t + h, y_full + full_e * n3)
-            y = y_full + (h / 6.0) * (e_full * n1 + two_e * (n2 + n3) + n4)
-            flow[i + 1] = y
-    else:
-        for i in range(i_s, grid.n_steps):
-            slope = shift_vals[i] = eval_field(field, times[i], y)
-            y = y + h * (-lam * y + slope)
-            flow[i + 1] = y
-    shift_vals[-1] = eval_field(field, times[-1], flow[-1])
-    return TimeShift(grid=grid, values=shift_vals, flow_values=flow, origin=(s, x))
+    # f(t_i) = B0(t_i, x(t_i)) is each step's first stage, then the end point
+    values = np.empty((grid.n_steps - i_s + 1, spec.dim))
+    e_full = np.exp(-lam * h)
+    e_half = np.exp(-lam * (0.5 * h))
+    # products evaluate left to right, so the hoisted factors and the shared
+    # propagated states give the bits of the written-out RK4 stages
+    half_e, full_e, two_e = (0.5 * h) * e_half, h * e_half, 2.0 * e_half
+    y = x
+    for j, t in enumerate(times[i_s:-1]):
+        y_half, y_full = e_half * y, e_full * y
+        n1 = values[j] = eval_field(field, t, y)
+        n2 = eval_field(field, t + 0.5 * h, y_half + half_e * n1)
+        n3 = eval_field(field, t + 0.5 * h, y_half + (0.5 * h) * n2)
+        n4 = eval_field(field, t + h, y_full + full_e * n3)
+        y = y_full + (h / 6.0) * (e_full * n1 + two_e * (n2 + n3) + n4)
+    values[-1] = eval_field(field, times[-1], y)
+    return TimeShift(grid=TimeGrid(s, grid.end, h), values=values)
 
 
 def forcing_convolution(spec: ProblemSpec, shift: TimeShift | None, s: float, t: float) -> np.ndarray:

@@ -6,12 +6,14 @@ import csv
 import hashlib
 import math
 import struct
+import weakref
 from pathlib import Path
 
 import pytest
 
 import levybank.bank
 import levybank.estimators
+import levybank.flow
 from levybank import cli
 from levybank.bank import load_bank
 from levybank.estimators import IterateEstimate
@@ -140,6 +142,35 @@ def test_sweep_loads_bank_once(tmp_path, monkeypatch):
     assert bad[7] == "nan"
     t_header, t_rows = read_csv(tmp_path / "out" / "sweep_timing.csv")
     assert t_header[-1] == "wall_ms" and len(t_rows) == len(rows)
+
+
+def test_sweep_holds_one_shift_at_a_time(tmp_path, monkeypatch):
+    conf = write_conf(tmp_path)
+    bank_file = tmp_path / "shared.lvib"
+    assert cli.main(["bank", "--config", str(conf), "--bank", str(bank_file)]) == 0
+    solve_flow = levybank.flow.solve_flow
+    shifts, alive = [], []
+
+    def recording_solve(*args):
+        alive.append(sum(ref() is not None for ref in shifts))
+        shift = solve_flow(*args)
+        shifts.append(weakref.ref(shift))
+        return shift
+
+    monkeypatch.setattr(levybank.flow, "solve_flow", recording_solve)
+    sweep = tmp_path / "sweep.ini"
+    sweep.write_text(conf_text(tmp_path / "out", f"""
+bank.path = {bank_file}
+sweep.s_values = 0, 0.5
+sweep.sigmas = 0.5, 1.0
+sweep.fields = sine, zero
+sweep.x_values = ones
+"""))
+    assert cli.main(["sweep", "--config", str(sweep)]) == 0
+    # one solve per (field, x, s) key, after the last key's shift was freed
+    assert alive == [0, 0, 0, 0]
+    _, rows = read_csv(tmp_path / "out" / "sweep.csv")
+    assert len(rows) == 8 and {r[6] for r in rows} == {"ok"}
 
 
 def test_validate_command(tmp_path):

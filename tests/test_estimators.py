@@ -233,6 +233,30 @@ def test_missing_shift_rejected(det_bank1, spec1):
         v0_estimate(det_bank1, spec1, None, q)
 
 
+def shifted_query(s: float) -> QueryParams:
+    return QueryParams(s=s, t=1.0, x=np.array([0.4, -0.3, 0.2]), sigma_scale=0.7,
+                       radius=1.0, field=sine_field(), use_shift=True)
+
+
+def test_shift_of_another_dim_rejected(spec1, spec3, bank3):
+    # solved for a dim-1 problem, it would broadcast into the dim-3 query
+    shift = solve_flow(spec1, sine_field(), 0.0, np.array([0.4]), TimeGrid(0.0, 1.0, 1e-3))
+    for estimate in (v0_estimate, lambda *a: v1_estimate(*a, 1e-2, 50)):
+        with pytest.raises(ValueError, match=r"shape \(\., 3\)"):
+            estimate(bank3, spec3, shift, shifted_query(0.0))
+
+
+def test_shift_not_covering_query_rejected(spec3, bank3):
+    # one shift starts after the query's s, the other ends before its t
+    q = shifted_query(0.2)
+    late = solve_flow(spec3, sine_field(), 0.5, q.x, TimeGrid(0.0, 1.0, 1e-3))
+    short = solve_flow(spec3, sine_field(), 0.2, q.x, TimeGrid(0.0, 0.5, 1e-3))
+    for shift, span in ((late, r"\[0\.5, 1\.0\]"), (short, r"\[0\.2, 0\.5\]")):
+        for estimate in (v0_estimate, lambda *a: v1_estimate(*a, 1e-2, 50)):
+            with pytest.raises(ValueError, match="covers " + span):
+                estimate(bank3, spec3, shift, q)
+
+
 def test_gradient_matches_exact_derivative(det_bank1, spec1):
     q = QueryParams(s=0.0, t=1.0, x=np.array([0.3]), sigma_scale=0.5,
                     radius=1.0, field=zero_field(), use_shift=False)

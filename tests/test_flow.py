@@ -18,11 +18,27 @@ def make_spec(lambdas, horizon=1.0):
 GRID = TimeGrid(0.0, 1.0, 1e-3)
 
 
+def flow_states(spec, field, s, x, grid=GRID):
+    """The shift and the states x(t_i) at every grid time from s to the end.
+
+    A recording hook sees them: the first of step i's four field evaluations
+    is at x(t_i) and the last evaluation at x(T), the order that
+    test_flow_evaluates_field_once_per_stage pins.
+    """
+    seen = []
+
+    def hook(t, y):
+        seen.append(np.array(y))
+        return eval_field(field, t, y)
+
+    shift = solve_flow(spec, custom_field(hook, max(field.bound, 1.0)), s, x, grid)
+    return shift, np.stack(seen[::4])
+
+
 def test_zero_field_is_exact_decay():
     spec = make_spec([1.0, 100.0, 1e4])
     x = np.array([0.5, -2.0, 3.0])
-    shift = solve_flow(spec, zero_field(), 0.0, x, GRID)
-    got = shift.flow_at(1.0)
+    got = flow_states(spec, zero_field(), 0.0, x)[1][-1]
     want = np.exp(-spec.lambdas) * x
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-300)
     # stiffest mode decays below the double floor without oscillation
@@ -32,31 +48,31 @@ def test_zero_field_is_exact_decay():
 def test_stiff_sine_flow_stays_bounded():
     """lambda*h = 10: an explicit integrator would blow up within steps."""
     spec = make_spec([1.0, 100.0, 1e4])
-    shift = solve_flow(spec, sine_field(), 0.0, np.ones(3), GRID)
-    assert np.isfinite(shift.flow_values).all()
-    assert np.abs(shift.flow_values).max() <= 1.1
+    states = flow_states(spec, sine_field(), 0.0, np.ones(3))[1]
+    assert np.isfinite(states).all()
+    assert np.abs(states).max() <= 1.1
 
 
 def test_constant_drift_closed_form():
     # dx = (-x + 0.7) dt from 0.2: x(1) = e^{-1} 0.2 + 0.7 (1 - e^{-1})
     spec = make_spec([1.0])
     field = custom_field(lambda t, x: np.full_like(x, 0.7), bound=0.7)
-    shift = solve_flow(spec, field, 0.0, np.array([0.2]), GRID)
-    assert shift.flow_at(1.0)[0] == pytest.approx(0.5160602794142788, rel=1e-10)
+    states = flow_states(spec, field, 0.0, np.array([0.2]))[1]
+    assert states[-1, 0] == pytest.approx(0.5160602794142788, rel=1e-10)
 
 
 def test_sine_flow_against_fine_euler_oracle():
     # frozen reference: explicit Euler with step 1e-6 on dx = -x + sin(x)
     spec = make_spec([1.0])
-    shift = solve_flow(spec, sine_field(), 0.0, np.array([0.3]), GRID)
-    assert shift.flow_at(1.0)[0] == pytest.approx(0.2956178330532583, abs=1e-6)
+    states = flow_states(spec, sine_field(), 0.0, np.array([0.3]))[1]
+    assert states[-1, 0] == pytest.approx(0.2956178330532583, abs=1e-6)
 
 
 def test_matches_classical_rk4_for_small_lambda():
     """The integrating-factor scheme must reduce to plain RK4 as lambda -> 0."""
     spec = make_spec([1e-6])
     x0 = 0.4
-    shift = solve_flow(spec, sine_field(), 0.0, np.array([x0]), GRID)
+    states = flow_states(spec, sine_field(), 0.0, np.array([x0]))[1]
 
     def rhs(y):
         return -1e-6 * y + math.sin(y)
@@ -68,70 +84,77 @@ def test_matches_classical_rk4_for_small_lambda():
         k3 = rhs(y + 0.5 * h * k2)
         k4 = rhs(y + h * k3)
         y += h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    assert shift.flow_at(1.0)[0] == pytest.approx(y, rel=1e-9)
+    assert states[-1, 0] == pytest.approx(y, rel=1e-9)
 
 
 def test_step_halving_self_consistency():
     spec = make_spec([1.0, 4.0])
     x = np.array([1.0, -0.5])
-    coarse = solve_flow(spec, sine_field(), 0.0, x, GRID)
-    fine = solve_flow(spec, sine_field(), 0.0, x, TimeGrid(0.0, 1.0, 5e-4))
-    np.testing.assert_allclose(coarse.flow_at(1.0), fine.flow_at(1.0), rtol=1e-9)
+    coarse = flow_states(spec, sine_field(), 0.0, x)[1]
+    fine = flow_states(spec, sine_field(), 0.0, x, TimeGrid(0.0, 1.0, 5e-4))[1]
+    np.testing.assert_allclose(coarse[-1], fine[-1], rtol=1e-9)
 
 
 def test_restart_semigroup():
+    # restarted from its own state at a grid point, the flow takes the same
+    # steps, so its tail and its shift repeat the first run's bit for bit
     spec = make_spec([1.0, 4.0])
     x = np.array([1.0, 0.3])
-    first = solve_flow(spec, sine_field(), 0.0, x, GRID)
-    second = solve_flow(spec, sine_field(), 0.4, first.flow_at(0.4), GRID)
-    np.testing.assert_allclose(second.flow_at(1.0), first.flow_at(1.0), rtol=1e-9)
-    # before its start the flow holds the initial point
-    np.testing.assert_array_equal(second.flow_at(0.2), first.flow_at(0.4))
+    first, states = flow_states(spec, sine_field(), 0.0, x)
+    i = GRID.index_of(0.4)
+    second, restarted = flow_states(spec, sine_field(), 0.4, states[i])
+    np.testing.assert_allclose(restarted[-1], states[-1], rtol=1e-9)
+    np.testing.assert_array_equal(restarted, states[i:])
+    np.testing.assert_array_equal(second.values, first.values[i:])
 
 
 def test_shift_tabulates_field_along_flow():
     spec = make_spec([1.0, 2.0])
-    shift = solve_flow(spec, sine_field(), 0.0, np.array([0.5, 1.0]), GRID)
+    x = np.array([0.5, 1.0])
+    states = flow_states(spec, sine_field(), 0.0, x)[1]
+    shift = solve_flow(spec, sine_field(), 0.0, x, GRID)
+    np.testing.assert_array_equal(shift.values, np.sin(states))
     for t in (0.0, 0.123, 0.77, 1.0):
-        np.testing.assert_array_equal(shift.value_at(t),
-                                      np.sin(shift.flow_at(t)))
+        np.testing.assert_array_equal(shift.value_at(t), shift.values[GRID.index_of(t)])
     with pytest.raises(ValueError):
         shift.value_at(0.1234567)  # off the tabulation grid
+    late = solve_flow(spec, sine_field(), 0.25, x, GRID)
+    np.testing.assert_array_equal(late.value_at(0.25), np.sin(x))
+    with pytest.raises(ValueError):
+        late.value_at(0.2)  # before s: not tabulated
 
 
 def test_flow_evaluates_field_once_per_stage():
     # The shift at t_i reuses the step's first stage, which is the field at
-    # (t_i, x(t_i)); only frozen points before s and the end point add calls.
+    # (t_i, x(t_i)); only the end point adds a call, and none is made before s.
     calls = []
 
     def sine(t, x):
-        calls.append(t)
+        calls.append((t, x))
         return np.sin(x)
 
     spec = make_spec([1.0, 2.0])
     x = np.array([0.5, 1.0])
     field = custom_field(sine, bound=1.0)
-    shift = solve_flow(spec, field, 0.0, x, GRID)
-    assert len(calls) == 4 * GRID.n_steps + 1
-    for t in (0.0, 0.5, 1.0):
-        np.testing.assert_array_equal(shift.value_at(t), np.sin(shift.flow_at(t)))
-    calls.clear()
-    solve_flow(spec, field, 0.25, x, GRID, method="euler")
-    assert len(calls) == GRID.n_steps + 1
+    for s in (0.0, 0.25):
+        calls.clear()
+        shift = solve_flow(spec, field, s, x, GRID)
+        i_s = GRID.index_of(s)
+        assert len(calls) == 4 * (GRID.n_steps - i_s) + 1
+        firsts = calls[::4]
+        assert [t for t, _ in firsts] == list(GRID.times()[i_s:])
+        np.testing.assert_array_equal(firsts[0][1], x)
+        np.testing.assert_array_equal(shift.values, np.sin([y for _, y in firsts]))
 
 
-@pytest.mark.parametrize("field", [zero_field(), sine_field(),
-                                   bounded_cubic_field(2.0, np.full(2, 2.0), 1e4)],
-                         ids=["zero", "sine", "cubic"])
-def test_frozen_prefix_bytes_equal_per_time_loop(field):
-    # A built-in field does not depend on t, so the frozen points before s
-    # share one evaluation; they must hold the bits of one call per time.
+def test_shift_holds_only_f_from_s():
     spec = make_spec([1.0, 2.0])
-    x = np.array([0.5, 1.0])
-    shift = solve_flow(spec, field, 0.5, x, GRID)
-    i_s = GRID.index_of(0.5)
-    want = np.stack([eval_field(field, t, x) for t in GRID.times()[:i_s]])
-    assert shift.values[:i_s].tobytes() == want.tobytes()
+    shift = solve_flow(spec, sine_field(), 0.25, np.array([0.5, 1.0]), GRID)
+    arrays = [v for v in vars(shift).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 1 and arrays[0] is shift.values
+    assert shift.values.shape == (GRID.n_steps - GRID.index_of(0.25) + 1, 2)
+    assert shift.values.dtype == np.float64 and shift.values.base is None
+    assert shift.grid == TimeGrid(0.25, 1.0, GRID.step)
 
 
 def test_solve_flow_validation():
@@ -141,21 +164,11 @@ def test_solve_flow_validation():
                    TimeGrid(0.0, 1.0, 2e-3))  # step too coarse for tabulation
     with pytest.raises(ValueError):
         solve_flow(spec, sine_field(), 0.12345, np.array([1.0]), GRID)
-    with pytest.raises(ValueError):
-        solve_flow(spec, sine_field(), 0.0, np.array([1.0]), GRID,
-                   method="rk4_explicit")
+    with pytest.raises(ValueError, match="grid's end"):
+        solve_flow(make_spec([1.0], horizon=2.0), sine_field(), 1.0, np.array([1.0]), GRID)
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             solve_flow(spec, sine_field(), 0.0, np.array([bad]), GRID)
-
-
-def test_euler_mode_close_but_distinct():
-    spec = make_spec([1.0])
-    x = np.array([0.3])
-    rk = solve_flow(spec, sine_field(), 0.0, x, GRID)
-    eu = solve_flow(spec, sine_field(), 0.0, x, GRID, method="euler")
-    assert rk.flow_at(1.0)[0] != eu.flow_at(1.0)[0]
-    assert abs(rk.flow_at(1.0)[0] - eu.flow_at(1.0)[0]) < 5e-3
 
 
 def test_forcing_convolution_constant_shift():

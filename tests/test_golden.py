@@ -1,14 +1,15 @@
 """Golden values for the bank, the shift flow, the estimators and the reference.
 
 The constants were recorded on the shared small bank of conftest.py (dim 3,
-400 + 400 records, seed 99) with numpy 2.4 on x86-64.  The flow digests date
-from before the iterate estimators were merged into one simplex kernel; the
-bank digest and the estimator values were re-recorded when bank format 2
-switched the checkpoints to one normal per block (a new random stream, so a
-deliberate change: every moved value stayed within 4 combined standard errors
-of its format-1 value).  They pin that refactors keep every value:
+400 + 400 records, seed 99) with numpy 2.4 on x86-64.  The shift values of
+the flow digest date from before the iterate estimators were merged into one
+simplex kernel; the bank digest and the estimator values were re-recorded when
+bank format 2 switched the checkpoints to one normal per block (a new random
+stream, so a deliberate change: every moved value stayed within 4 combined
+standard errors of its format-1 value).  They pin that refactors keep every
+value:
 
-* the bank bytes, the shift flow and the gradient bitwise;
+* the bank bytes, the shift values and the gradient bitwise;
 * vn at orders 2 and 3 within 1e-12 relative, because a different walk over
   the simplex may sum the same terms in a different order; and, recorded
   before the kernel streamed its clocks and built each interval once, the
@@ -56,9 +57,11 @@ SINE = sine_field()
 CUBIC = bounded_cubic_field(2.0, np.full(3, 2.0), 10.0)
 
 BANK_SHA256 = "38249e5d85c7f40d3dfd9509a827a9f7b4e59934b78937cdca9c5dea2c71f672"
+# integrator -> sha256 of the shift's values from s on, recorded when the
+# shift still kept its frozen values before s and the flow itself (as the
+# digest of values[i_s:]); exp_rk4 is the integrating-factor RK4 flow
 FLOW_SHA256 = {
-    "exp_rk4": "4cf72545b81b3ac20be715471743b084790924eb1ceffec184d6f334d052af49",
-    "euler": "58fe0cd286199aa2e0cc64229bafa92908cc22ccac517dee05d58faf952fb00b",
+    "exp_rk4": "f8a76ca5a84bcf31748127028e0c8884dcc59a3ad7e42e79925f0e444ac67405",
 }
 # (use_shift, seed) -> (value, std_error) of v1 at mesh 1e-2 on 300 pairs
 V1 = {
@@ -156,11 +159,10 @@ def test_bank_bytes_golden(bank3):
     assert digest.hexdigest() == BANK_SHA256
 
 
-@pytest.mark.parametrize("method", sorted(FLOW_SHA256))
-def test_flow_golden(spec3, method):
-    shift = solve_flow(spec3, SINE, 0.2, X, GRID, method=method)
-    raw = shift.values.tobytes() + shift.flow_values.tobytes()
-    assert hashlib.sha256(raw).hexdigest() == FLOW_SHA256[method]
+@pytest.mark.parametrize("scheme", sorted(FLOW_SHA256))
+def test_flow_golden(spec3, scheme):
+    shift = solve_flow(spec3, SINE, 0.2, X, GRID)
+    assert hashlib.sha256(shift.values.tobytes()).hexdigest() == FLOW_SHA256[scheme]
 
 
 def test_v1_golden_bitwise(spec3, bank3):
