@@ -143,8 +143,16 @@ def _bank_summary(path: Path, bank) -> str:
             f"hash={h.spec_hash.hex()[:16]}")
 
 
-def _ensure_bank(cfg, spec, alpha: float, n_alphas: int):
+def _write_bank(cfg, spec, path: Path):
     from .bank import generate_bank, save_bank
+    bank = generate_bank(spec, cfg.delta_fine, cfg.delta_coarse, cfg.m_sub,
+                         cfg.m_ou, cfg.bank_seed, precision=cfg.precision)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    save_bank(bank, str(path))
+    return bank
+
+
+def _ensure_bank(cfg, spec, alpha: float, n_alphas: int):
     path = _bank_path(cfg, alpha, n_alphas)
     if path.exists():
         bank = _load_bank_checked(path, spec)
@@ -153,12 +161,15 @@ def _ensure_bank(cfg, spec, alpha: float, n_alphas: int):
     _status(f"generating bank for alpha={alpha:g} "
             f"(m_sub={cfg.m_sub}, m_ou={cfg.m_ou}, dim={cfg.dim})")
     t0 = time.perf_counter()
-    bank = generate_bank(spec, cfg.delta_fine, cfg.delta_coarse, cfg.m_sub,
-                         cfg.m_ou, cfg.bank_seed, precision=cfg.precision)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    save_bank(bank, str(path))
+    bank = _write_bank(cfg, spec, path)
     _status(f"wrote {_bank_summary(path, bank)} in {time.perf_counter() - t0:.1f}s")
     return bank
+
+
+def _single(command: str, key: str, values: list):
+    if len(values) != 1:
+        raise ConfigError(f"{command} runs one value of {key}, got {values}")
+    return values[0]
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +177,8 @@ def _ensure_bank(cfg, spec, alpha: float, n_alphas: int):
 
 
 def cmd_bank(cfg, args) -> int:
-    spec = _make_spec(cfg, cfg.alpha)
     path = _bank_path(cfg, cfg.alpha, 1)
-    from .bank import generate_bank, save_bank
-    bank = generate_bank(spec, cfg.delta_fine, cfg.delta_coarse, cfg.m_sub,
-                         cfg.m_ou, cfg.bank_seed, precision=cfg.precision)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    save_bank(bank, str(path))
-    print(_bank_summary(path, bank))
+    print(_bank_summary(path, _write_bank(cfg, _make_spec(cfg, cfg.alpha), path)))
     return 0
 
 
@@ -197,8 +202,8 @@ def cmd_table(cfg, args) -> int:
               if k not in cfg.explicit}
     cfg = replace(cfg, **preset)
     from .estimators import em_benchmark, partial_sums
-    sigma = cfg.sigmas[0]
-    t = cfg.t_values[-1] if cfg.t_values else cfg.horizon
+    sigma = _single("table", "query.sigmas", cfg.sigmas)
+    t = _single("table", "query.t_values", cfg.t_values or [cfg.horizon])
     x = _parse_x(cfg.x, cfg.dim)
     field = _make_field(cfg, cfg.field_kind)
     shift = _solve_shift(cfg, field, x) if cfg.use_shift else None
@@ -244,7 +249,7 @@ def cmd_figure(cfg, args) -> int:
     t_grid = cfg.t_values or [round(0.1 * k, 10) for k in range(1, 11)]
     x = _parse_x(cfg.x, cfg.dim)
     field = _make_field(cfg, field_kind)
-    shift_cache = {}
+    shift = None
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     header = ["t", "P", "v0", "v0_plus_v1", "abs_eps0", "abs_eps1"]
@@ -255,9 +260,8 @@ def cmd_figure(cfg, args) -> int:
                       use_shift=use_shift)
         spec = _make_spec(run, alpha)
         bank = _ensure_bank(run, spec, alpha, n_distinct)
-        if use_shift and "shift" not in shift_cache:
-            shift_cache["shift"] = _solve_shift(run, field, x)
-        shift = shift_cache["shift"] if use_shift else None
+        if use_shift and shift is None:
+            shift = _solve_shift(run, field, x)
         q_last = _query_for(run, sigma, t_grid[-1], x, field, use_shift)
         bench = em_benchmark_series(spec, q_last, t_grid, run.benchmark_paths,
                                     run.delta_em, run.bank_seed,
@@ -288,11 +292,11 @@ def cmd_figure(cfg, args) -> int:
 def cmd_sweep(cfg, args) -> int:
     if not cfg.bank_path:
         raise ConfigError("sweep needs a bank: set bank.path or pass --bank")
+    t = _single("sweep", "query.t_values", cfg.t_values or [cfg.horizon])
     spec = _make_spec(cfg, cfg.alpha)
     path = Path(cfg.bank_path)
     bank = _load_bank_checked(path, spec)
     _status(f"loaded {_bank_summary(path, bank)}")
-    t = cfg.t_values[-1] if cfg.t_values else cfg.horizon
     header = ["s", "t", "x", "sigma", "field", "shift", "status",
               "v0", "v0_se", "v1", "v1_se"]
     rows, timing_rows = [], []

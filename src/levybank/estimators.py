@@ -76,7 +76,7 @@ import numpy as np
 from .bank import SimulationBank, covariance_integral
 from .core import GRID_RTOL, ProblemSpec, covariance_weights, phi1
 from .fields import VectorFieldSpec, eval_field
-from .flow import TimeShift, bin_forcings, forcing_convolution
+from .flow import TimeShift, bin_forcings
 from .stable import sample_stable_increment
 from .streams import DOMAIN_BENCHMARK, DOMAIN_SELECTION, make_rng
 
@@ -257,6 +257,8 @@ def em_benchmark_series(spec: ProblemSpec, q: QueryParams, t_list, n_paths: int,
     _check_query(spec, q)
     if n_paths < 2:
         raise ValueError("need at least 2 benchmark paths")
+    if not 0.0 < delta_em < math.inf:
+        raise ValueError(f"delta_em must be finite and positive, got {delta_em}")
     t_list = [float(t) for t in t_list]
     if not t_list or any(t <= q.s or t > spec.horizon * (1 + GRID_RTOL) for t in t_list):
         raise ValueError("benchmark times must lie in (s, horizon]")
@@ -632,6 +634,13 @@ def _iterate(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShift]
     A helper thread walks the outer nodes below _split(J, order) in a walker
     of its own; its node sums are added after this thread's, in order.
     """
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    if n < 2:
+        raise ValueError(f"need at least 2 samples, got {n}")
+    if n > bank.m_ou or order * n > bank.m_sub:
+        raise ValueError(f"bank too small for order={order}, n={n} "
+                         f"(m_ou={bank.m_ou}, m_sub={bank.m_sub})")
     frame = _MeshFrame(bank, spec, _effective_shift(spec, shift, q), q, mesh, order, n, seed)
     J, k = frame.J, _split(frame.J, order)
     with ThreadPoolExecutor(1) as pool:   # starts its thread at the first submit
@@ -663,7 +672,7 @@ def _ou_endpoint(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeSh
     diag = q.sigma_scale * spec.sigmas
     unit_seg = np.asarray(chk[:, jt, :], dtype=float) \
         - prop * np.asarray(chk[:, js, :], dtype=float)
-    f_st = forcing_convolution(spec, sh, q.s, q.t) if sh is not None else 0.0
+    f_st = bin_forcings(spec, sh, [q.s, q.t])[0] if sh is not None else 0.0
     endpoint = prop * q.x + f_st + diag * unit_seg
     ind = (np.linalg.norm(endpoint, axis=1) > q.radius).astype(float)
     return ind, unit_seg, prop, diag
@@ -699,11 +708,6 @@ def v1_estimate(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShi
     With its two walkers it holds about 68 MB above the bank (34 MB each) for
     4000 pairs in dimension 100.
     """
-    if n_pairs > min(bank.m_ou, bank.m_sub):
-        raise ValueError(f"bank too small for n_pairs={n_pairs} "
-                         f"(m_ou={bank.m_ou}, m_sub={bank.m_sub})")
-    if n_pairs < 2:
-        raise ValueError("need at least 2 pairs")
     return _iterate(bank, spec, shift, q, 1, mesh, n_pairs, seed)
 
 
@@ -726,14 +730,6 @@ def vn_estimate(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShi
     4B + 5*order panels.  At order 2, 100 tuples, dimension 100 and
     J = 50 that is 198 kept panels (16 MB) and 26 per walker (2.1 MB).
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    if n_tuples < 2:
-        raise ValueError("need at least 2 tuples")
-    if n_tuples > bank.m_ou or order * n_tuples > bank.m_sub:
-        raise ValueError(
-            f"bank too small for order={order}, n_tuples={n_tuples} "
-            f"(m_ou={bank.m_ou}, m_sub={bank.m_sub})")
     return _iterate(bank, spec, shift, q, order, mesh, n_tuples, seed)
 
 

@@ -83,43 +83,27 @@ def solve_flow(spec: ProblemSpec, field: VectorFieldSpec, s: float, x: np.ndarra
     return TimeShift(grid=TimeGrid(s, grid.end, h), values=values)
 
 
-def forcing_convolution(spec: ProblemSpec, shift: TimeShift | None, s: float, t: float) -> np.ndarray:
-    """F_{s,t} = int_s^t e^{(t-r)A} f(r) dr by exact-exponential bin weights.
+def bin_forcings(spec: ProblemSpec, shift: TimeShift, nodes) -> np.ndarray:
+    """Row b is F_{u,v} = int_u^v e^{(v-r)A} f(r) dr for u, v = nodes[b], nodes[b+1].
 
-    Bin [r_i, r_i + d] contributes e^{-lambda(t - r_i - d)} * phi1(lambda*d)
-    * d * f(r_i).  s and t must be grid points of the shift; shift=None means
-    f = 0.
-    """
-    if s >= t:
-        raise ValueError(f"need s < t, got s={s}, t={t}")
-    if shift is None:
-        return np.zeros(spec.dim)
-    i0, i1 = shift.grid.index_of(s), shift.grid.index_of(t)
-    decay, w = _forcing_weights(spec, shift, i1 - i0)
-    return np.einsum("bk,bk,k->k", decay, shift.values[i0:i1], w)
-
-
-def bin_forcings(spec: ProblemSpec, shift: TimeShift, nodes: np.ndarray) -> np.ndarray:
-    """Row b is F_{nodes[b],nodes[b+1]}, the bits forcing_convolution gives.
-
-    The nodes must be evenly spaced points of the shift's grid, so every bin
-    shares one decay table.
+    Grid bin [r_i, r_i + d] contributes e^{-lambda(v - r_i - d)} * phi1(lambda*d)
+    * d * f(r_i), exact for piecewise-constant f and any lambda.  The nodes
+    must be strictly increasing, evenly spaced points of the shift's grid, so
+    every row shares one decay table; nodes [s, t] give F_{s,t} alone.
     """
     idx = [shift.grid.index_of(t) for t in nodes]
-    width = idx[1] - idx[0]
-    decay, w = _forcing_weights(spec, shift, width)
+    width = idx[1] - idx[0] if len(idx) > 1 else 0
+    if width < 1 or np.any(np.diff(idx) != width):
+        raise ValueError("nodes must be strictly increasing, evenly spaced points "
+                         f"of the shift's grid, got {np.asarray(nodes, dtype=float)}")
+    d = shift.grid.step
+    lam = spec.lambdas
+    # exponent for bin with left edge r_i: -lambda*(v - r_i - d) = -lambda*d*age,
+    # where age counts whole bins between the bin's right edge and v.
+    ages = np.arange(width - 1, -1, -1.0)
+    decay = np.exp(-np.outer(ages, lam) * d)     # (width, N)
+    w = phi1(lam * d) * d
     out = np.empty((len(idx) - 1, spec.dim))
     for b, i0 in enumerate(idx[:-1]):
         np.einsum("bk,bk,k->k", decay, shift.values[i0:i0 + width], w, out=out[b])
     return out
-
-
-def _forcing_weights(spec: ProblemSpec, shift: TimeShift, n_bins: int) -> tuple:
-    """(decay, w) of a window of n_bins grid bins: bin i weighs decay[i] * w * f(r_i)."""
-    d = shift.grid.step
-    lam = spec.lambdas
-    # exponent for bin with left edge r_i: -lambda*(t - r_i - d) = -lambda*d*age,
-    # where age counts whole bins between the bin's right edge and t.
-    ages = np.arange(n_bins - 1, -1, -1.0)
-    decay = np.exp(-np.outer(ages, lam) * d)     # (n_bins, N)
-    return decay, phi1(lam * d) * d

@@ -81,32 +81,23 @@ def kanter_transform(alpha: float, scale: float, u: np.ndarray, e: np.ndarray,
     return np.maximum(out, _TINY, out=out)
 
 
-def _standard_one_sided(alpha: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Kanter draws with E[exp(-lam*S)] = exp(-lam^alpha), as an array."""
-    u, e = np.empty(size), np.empty(size)
-    kanter_draws(rng, u, e)
-    return kanter_transform(alpha, 1.0, u, e, np.empty(size), np.empty(size))
-
-
 def increment_scale(alpha: float, gamma_bar: float, dt: float) -> float:
     """Multiplier turning a standard Kanter draw into an increment over dt."""
     return gamma_bar * dt ** (1.0 / alpha) * math.cos(math.pi * alpha / 2.0) ** (-1.0 / alpha)
 
 
 def sample_stable_increment(alpha: float, gamma_bar: float, dt: float,
-                            rng: np.random.Generator, size: int | None = None):
-    """Draw L_{t+dt} - L_t (one scalar, or an array when size is given).
+                            rng: np.random.Generator, size: int) -> np.ndarray:
+    """An array of `size` independent increments L_{t+dt} - L_t drawn from rng.
 
     Increments underflowing to 0 are clamped to the smallest positive normal
     so paths stay strictly increasing.
     """
     _validate_stable_params(alpha, gamma_bar, dt)
-    n = 1 if size is None else int(size)
-    u, e = np.empty(n), np.empty(n)
+    u, e = np.empty(size), np.empty(size)
     kanter_draws(rng, u, e)
-    draws = kanter_transform(alpha, increment_scale(alpha, gamma_bar, dt), u, e,
-                             np.empty(n), np.empty(n))
-    return float(draws[0]) if size is None else draws
+    return kanter_transform(alpha, increment_scale(alpha, gamma_bar, dt), u, e,
+                            np.empty(size), np.empty(size))
 
 
 def laplace_exponent(alpha: float, gamma_bar: float, lam: float) -> float:
@@ -130,14 +121,12 @@ class ValidationRow:
 
 
 def validate_sampler(alpha: float, gamma_bar: float, n_samples: int,
-                     lam_list, seed: int = 0,
-                     analytic_fn=None) -> list[ValidationRow]:
-    """Compare empirical E[exp(-lam*L_1)] with the analytic transform.
+                     lam_list, seed: int = 0) -> list[ValidationRow]:
+    """Compare empirical E[exp(-lam*L_1)] with exp(-laplace_exponent(lam)).
 
-    Draws n_samples copies of L_1 (single increments with dt=1) once and
-    evaluates every lam on the same draws.  A row is flagged when |empirical -
-    analytic| > 3 standard errors.  `analytic_fn(lam) -> float` overrides the
-    analytic value (negative-control hook for the test suite).
+    Draws n_samples copies of L_1 (single increments with dt=1) once, from
+    the validation stream of `seed`, and evaluates every lam on the same
+    draws.  A row is flagged when |empirical - analytic| > 3 standard errors.
     """
     if n_samples < 1000:
         raise ValueError(f"need n_samples >= 1000, got {n_samples}")
@@ -147,10 +136,7 @@ def validate_sampler(alpha: float, gamma_bar: float, n_samples: int,
     draws = sample_stable_increment(alpha, gamma_bar, 1.0, rng, size=n_samples)
     rows = []
     for lam in lam_list:
-        if analytic_fn is None:
-            analytic = math.exp(-laplace_exponent(alpha, gamma_bar, lam))
-        else:
-            analytic = float(analytic_fn(lam))
+        analytic = math.exp(-laplace_exponent(alpha, gamma_bar, lam))
         vals = np.exp(-lam * draws)
         empirical = float(vals.mean())
         se = float(vals.std(ddof=1) / math.sqrt(n_samples))

@@ -15,6 +15,7 @@ import pytest
 from scipy.stats import kstest
 
 import levybank.bank
+import levybank.estimators
 import levybank.stable
 from levybank.bank import (FORMAT_VERSION, MAGIC, SpecMismatchError, covariance_integral,
                            generate_bank, load_bank, save_bank)
@@ -344,7 +345,8 @@ def test_queries_never_invoke_sampler(spec3, bank3, monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("stable sampler invoked during a bank query")
 
-    monkeypatch.setattr(levybank.stable, "_standard_one_sided", boom)
+    monkeypatch.setattr(levybank.stable, "sample_stable_increment", boom)
+    monkeypatch.setattr(levybank.estimators, "sample_stable_increment", boom)
     monkeypatch.setattr(levybank.stable, "kanter_transform", boom)
     monkeypatch.setattr(levybank.bank, "kanter_transform", boom)
     q = QueryParams(s=0.0, t=1.0, x=np.full(3, 0.3), sigma_scale=0.7, radius=1.0,

@@ -173,6 +173,21 @@ sweep.x_values = ones
     assert len(rows) == 8 and {r[6] for r in rows} == {"ok"}
 
 
+@pytest.mark.parametrize("command, line", [
+    ("table", "query.sigmas = 0.5, 1.0"),
+    ("table", "query.t_values = 0.5, 1.0"),
+    ("sweep", "query.t_values = 0.5, 1.0"),
+])
+def test_table_and_sweep_refuse_several_values(tmp_path, capsys, command, line):
+    # table ran only the first sigma and the last t, sweep the last t, silently
+    conf = write_conf(tmp_path, f"{line}\nbank.path = {tmp_path}/absent.lvib\n")
+    args = [command] + (["--table", "1"] if command == "table" else [])
+    assert cli.main(args + ["--config", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command} runs one value of {line.split(' =')[0]}")
+    assert not (tmp_path / "absent.lvib").exists()
+
+
 def test_validate_command(tmp_path):
     conf = write_conf(tmp_path)
     assert cli.main(["validate", "--config", str(conf)]) == 0

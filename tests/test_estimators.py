@@ -149,6 +149,13 @@ def test_em_validation(spec1, q_sine):
         em_benchmark(spec1, q_sine, 100, 1e-2, 0, method="heun")
 
 
+@pytest.mark.parametrize("delta_em", [0.0, -1e-2, math.nan, math.inf])
+def test_em_rejects_bad_step(spec1, q_sine, delta_em):
+    # a zero step divided by zero; the others failed on the step grid or in round()
+    with pytest.raises(ValueError, match="delta_em must be finite and positive"):
+        em_benchmark(spec1, q_sine, 100, delta_em, 0)
+
+
 class Planted(Exception):
     pass
 
@@ -207,6 +214,37 @@ def test_v0_matches_gaussian_closed_form(det_bank1, spec1):
     est = v0_estimate(det_bank1, spec1, None, q)
     assert est.order == 0 and est.n_samples == 50000
     assert abs(est.value - DET_P_TRUE) <= 4.0 * est.std_error
+
+
+# A deterministic clock and a constant drift c make the endpoint exactly
+# Gaussian: N(m, V) with m = e^{-lam(t-s)} x, plus c (1 - e^{-lam(t-s)})/lam
+# when the shift is on (f = c, so F_{s,t} is that term), and
+# V = sigma^2 (1 - e^{-2 lam(t-s)})/(2 lam).
+LAM2 = ProblemSpec(alpha=0.75, gamma_bar=1.0, dim=1, lambdas=np.array([2.0]),
+                   sigmas=np.ones(1), horizon=1.0)
+
+
+@pytest.fixture(scope="module", params=[1, 2])
+def det_bank_lam2(request):
+    # a fine step of 1e-2 is exact for a deterministic clock and keeps 3e4 records small
+    return generate_bank(LAM2, 1e-2, 1e-2, 0, 30000, request.param, deterministic_clock=True)
+
+
+@pytest.mark.parametrize("use_shift", [False, True])
+@pytest.mark.parametrize("s, t", [(0.0, 1.0), (0.2, 0.9)])
+def test_v0_matches_constant_drift_oracle(det_bank_lam2, s, t, use_shift):
+    lam, c, x, radius, sigma = 2.0, 0.8, 0.3, 0.6, 0.7
+    field = custom_field(lambda t, y: np.full_like(y, c), bound=c)
+    q = QueryParams(s=s, t=t, x=np.array([x]), sigma_scale=sigma, radius=radius,
+                    field=field, use_shift=use_shift)
+    shift = solve_flow(LAM2, field, s, q.x, TimeGrid(0.0, 1.0, 1e-3)) if use_shift else None
+    decay = math.exp(-lam * (t - s))
+    m = decay * x + (c * (1.0 - decay) / lam if use_shift else 0.0)
+    scale = sigma * math.sqrt((1.0 - decay ** 2) / lam)   # sqrt(2 V)
+    want = 0.5 * (math.erfc((radius - m) / scale) + math.erfc((radius + m) / scale))
+    est = v0_estimate(det_bank_lam2, LAM2, shift, q)
+    assert est.n_samples == 30000
+    assert abs(est.value - want) <= 4.0 * est.std_error, (est.value - want) / est.std_error
 
 
 def test_v0_needs_records(spec1):

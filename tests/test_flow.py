@@ -6,7 +6,7 @@ import pytest
 from levybank.core import ProblemSpec, TimeGrid
 from levybank.fields import (bounded_cubic_field, custom_field, eval_field, sine_field,
                              zero_field)
-from levybank.flow import bin_forcings, forcing_convolution, solve_flow
+from levybank.flow import bin_forcings, solve_flow
 
 
 def make_spec(lambdas, horizon=1.0):
@@ -171,38 +171,63 @@ def test_solve_flow_validation():
             solve_flow(spec, sine_field(), 0.0, np.array([bad]), GRID)
 
 
-def test_forcing_convolution_constant_shift():
+def test_bin_forcings_constant_shift():
     # f = 0.7 on [0.2, 1], lam=1: F = 0.7 (1 - e^{-0.8})
     spec = make_spec([1.0])
     field = custom_field(lambda t, x: np.full_like(x, 0.7), bound=0.7)
     shift = solve_flow(spec, field, 0.2, np.array([0.0]), GRID)
-    got = forcing_convolution(spec, shift, 0.2, 1.0)
-    assert got[0] == pytest.approx(0.38546972511794486, rel=1e-12)
+    got = bin_forcings(spec, shift, [0.2, 1.0])
+    assert got.shape == (1, 1)
+    assert got[0, 0] == pytest.approx(0.38546972511794486, rel=1e-12)
 
 
-def test_forcing_convolution_splitting():
+def test_bin_forcings_splitting():
+    # u = 0.47 splits [0.1, 0.9] unevenly, so the two halves are two calls
     spec = make_spec([1.0, 9.0])
     shift = solve_flow(spec, sine_field(), 0.0, np.array([1.0, -0.4]), GRID)
     s, u, t = 0.1, 0.47, 0.9
-    whole = forcing_convolution(spec, shift, s, t)
-    split = (np.exp(-spec.lambdas * (t - u)) * forcing_convolution(spec, shift, s, u)
-             + forcing_convolution(spec, shift, u, t))
+    whole = bin_forcings(spec, shift, [s, t])[0]
+    split = (np.exp(-spec.lambdas * (t - u)) * bin_forcings(spec, shift, [s, u])[0]
+             + bin_forcings(spec, shift, [u, t])[0])
     np.testing.assert_allclose(whole, split, rtol=1e-12)
 
 
-def test_forcing_convolution_degenerate():
-    spec = make_spec([1.0])
-    shift = solve_flow(spec, sine_field(), 0.0, np.array([1.0]), GRID)
-    with pytest.raises(ValueError):
-        forcing_convolution(spec, shift, 0.4, 0.4)
-    assert np.array_equal(forcing_convolution(spec, None, 0.0, 1.0), np.zeros(1))
+@pytest.fixture(scope="module")
+def sine_shift():
+    spec = make_spec([1.0, 9.0, 1e4])
+    return spec, solve_flow(spec, sine_field(), 0.0, np.array([1.0, -0.4, 2.0]), GRID)
+
+
+def test_bin_forcings_rejects_uneven_nodes(sine_shift):
+    # with the first bin's width for every bin, row 1 was 0.07 off F_{0.1,0.3}
+    with pytest.raises(ValueError, match="evenly spaced"):
+        bin_forcings(*sine_shift, [0.0, 0.1, 0.3])
+
+
+def test_bin_forcings_rejects_repeated_nodes(sine_shift):
+    # [0.4, 0.4] gave a row of zeros, [0.2, 0.4, 0.4] a wrong row 1
+    for nodes in ([0.4, 0.4], [0.2, 0.4, 0.4]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            bin_forcings(*sine_shift, nodes)
+
+
+def test_bin_forcings_rejects_decreasing_nodes(sine_shift):
+    # [0.4, 0.2] gave a row of zeros
+    for nodes in ([0.4, 0.2], [0.6, 0.4, 0.2]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            bin_forcings(*sine_shift, nodes)
+
+
+def test_bin_forcings_rejects_too_few_or_off_grid_nodes(sine_shift):
+    for nodes in ([], [0.4], [0.2, 0.4005]):
+        with pytest.raises(ValueError):
+            bin_forcings(*sine_shift, nodes)
 
 
 @pytest.mark.parametrize("s, t, mesh", [(0.0, 1.0, 1e-2), (0.2, 1.0, 4e-2), (0.5, 0.6, 0.1)])
-def test_bin_forcings_bytes_equal_per_bin(s, t, mesh):
-    spec = make_spec([1.0, 9.0, 1e4])
-    shift = solve_flow(spec, sine_field(), 0.0, np.array([1.0, -0.4, 2.0]), GRID)
+def test_bin_forcings_bytes_equal_per_bin(sine_shift, s, t, mesh):
+    spec, shift = sine_shift
     nodes = s + mesh * np.arange(round((t - s) / mesh) + 1)
-    want = np.stack([forcing_convolution(spec, shift, a, b)
+    want = np.stack([bin_forcings(spec, shift, [a, b])[0]
                      for a, b in zip(nodes[:-1], nodes[1:])])
     assert bin_forcings(spec, shift, nodes).tobytes() == want.tobytes()

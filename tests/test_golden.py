@@ -9,7 +9,9 @@ stream, so a deliberate change: every moved value stayed within 4 combined
 standard errors of its format-1 value).  They pin that refactors keep every
 value:
 
-* the bank bytes, the shift values and the gradient bitwise;
+* the bank bytes, the shift values and the gradient bitwise, and v0 with
+  the shift and the forcing F_{s,t} it reads bitwise, recorded when F_{s,t}
+  had a function of its own rather than being bin_forcings' one bin;
 * vn at orders 2 and 3 within 1e-12 relative, because a different walk over
   the simplex may sum the same terms in a different order; and, recorded
   before the kernel streamed its clocks and built each interval once, the
@@ -47,9 +49,9 @@ import pytest
 
 from levybank.core import TimeGrid
 from levybank.estimators import (QueryParams, em_benchmark_series, ou_gradient,
-                                 v1_estimate, vn_estimate)
+                                 v0_estimate, v1_estimate, vn_estimate)
 from levybank.fields import bounded_cubic_field, custom_field, sine_field, zero_field
-from levybank.flow import solve_flow
+from levybank.flow import bin_forcings, solve_flow
 
 X = np.array([0.5, -0.3, 0.2])
 GRID = TimeGrid(0.0, 1.0, 1e-3)
@@ -62,6 +64,15 @@ BANK_SHA256 = "38249e5d85c7f40d3dfd9509a827a9f7b4e59934b78937cdca9c5dea2c71f672"
 # digest of values[i_s:]); exp_rk4 is the integrating-factor RK4 flow
 FLOW_SHA256 = {
     "exp_rk4": "f8a76ca5a84bcf31748127028e0c8884dcc59a3ad7e42e79925f0e444ac67405",
+}
+# (field, t) -> (value, std_error) of v0 with the shift, over all 400 records
+# sha256 over F_{0.2,t} of those four cases, in that order
+V0_FORCING_SHA256 = "ae2b2a03024f2e66b20e9d2210b5659abde4e0c3e69613adb423e0ae844ef24e"
+V0 = {
+    ("sine", 0.5): (0.2875, 0.02265817417937414),
+    ("sine", 1.0): (0.44, 0.024850429767895824),
+    ("cubic", 0.5): (0.475, 0.024999999999999998),
+    ("cubic", 1.0): (0.6125, 0.024389475009275418),
 }
 # (use_shift, seed) -> (value, std_error) of v1 at mesh 1e-2 on 300 pairs
 V1 = {
@@ -163,6 +174,18 @@ def test_bank_bytes_golden(bank3):
 def test_flow_golden(spec3, scheme):
     shift = solve_flow(spec3, SINE, 0.2, X, GRID)
     assert hashlib.sha256(shift.values.tobytes()).hexdigest() == FLOW_SHA256[scheme]
+
+
+def test_v0_golden_bitwise(spec3, bank3):
+    forcing = hashlib.sha256()
+    for name, field in (("sine", SINE), ("cubic", CUBIC)):
+        shift = solve_flow(spec3, field, 0.2, X, GRID)
+        for t in (0.5, 1.0):
+            q = QueryParams(s=0.2, t=t, x=X, sigma_scale=0.7, radius=1.0, field=field)
+            est = v0_estimate(bank3, spec3, shift, q)
+            assert (est.value, est.std_error) == V0[name, t], (name, t)
+            forcing.update(bin_forcings(spec3, shift, [0.2, t])[0].tobytes())
+    assert forcing.hexdigest() == V0_FORCING_SHA256
 
 
 def test_v1_golden_bitwise(spec3, bank3):

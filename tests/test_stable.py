@@ -7,13 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
-from levybank.stable import (_standard_one_sided, increment_scale, kanter_draws,
-                             kanter_transform, laplace_exponent,
-                             sample_stable_increment, validate_sampler)
+import levybank.stable
+from levybank.stable import (increment_scale, kanter_draws, kanter_transform,
+                             laplace_exponent, sample_stable_increment, validate_sampler)
 
 
 def rng_of(seed):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def standard_one_sided(alpha, rng, size):
+    """Kanter draws with E[exp(-lam*S)] = exp(-lam^alpha): scale 1."""
+    u, e = np.empty(size), np.empty(size)
+    kanter_draws(rng, u, e)
+    return kanter_transform(alpha, 1.0, u, e, np.empty(size), np.empty(size))
 
 
 def test_laplace_exponent_values():
@@ -43,7 +50,7 @@ def test_unit_sampler_laplace_pins():
             (0.85, 0.5, 0.574195851569996)]
     n = 200000
     for alpha, lam, want in pins:
-        s = _standard_one_sided(alpha, rng_of(1234), n)
+        s = standard_one_sided(alpha, rng_of(1234), n)
         emp = np.exp(-lam * s)
         se = emp.std(ddof=1) / math.sqrt(n)
         assert abs(emp.mean() - want) <= 4 * se, (alpha, lam)
@@ -60,8 +67,9 @@ def test_draws_golden_bitwise():
             (0.85, 2, "00f84a6f4309685f95a833cc49fcbf73272b693b12b22169452afccfc38c37e7")]
     for alpha, seed, want in pins:
         assert digest(sample_stable_increment(alpha, 1.0, 1e-3, rng_of(seed), size=1000)) == want
-    assert sample_stable_increment(0.75, 1.0, 1e-3, rng_of(3)) == 0.00023494756603336227
-    assert digest(_standard_one_sided(0.65, rng_of(4), 500)) == \
+    assert sample_stable_increment(0.75, 1.0, 1e-3, rng_of(3), size=1)[0] == \
+        0.00023494756603336227
+    assert digest(standard_one_sided(0.65, rng_of(4), 500)) == \
         "f057603552d6c634f77a629a34f51e90c5c6e5022ee4bfdefbcac9efba2170de"
 
 
@@ -110,12 +118,6 @@ def test_positivity():
     assert np.isfinite(draws).all()
 
 
-def test_scalar_draw():
-    x = sample_stable_increment(0.75, 1.0, 1e-3, rng_of(1))
-    assert np.isscalar(x) or np.ndim(x) == 0
-    assert float(x) > 0.0
-
-
 def test_increment_rank_independence():
     """Rank correlation of consecutive increments stays near zero.
 
@@ -138,12 +140,14 @@ def test_validate_sampler_clean_run():
         assert abs(row.empirical - row.analytic) <= 3 * row.std_error
 
 
-def test_validate_sampler_negative_control():
+def test_validate_sampler_negative_control(monkeypatch):
     """A 2% distortion of the analytic value must be flagged."""
-    def wrong(lam):
-        return math.exp(-laplace_exponent(0.75, 1.0, lam)) * 1.02
+    def wrong(alpha, gamma_bar, lam):
+        return laplace_exponent(alpha, gamma_bar, lam) - math.log(1.02)
 
-    rows = validate_sampler(0.75, 1.0, 50000, [0.5], seed=0, analytic_fn=wrong)
+    monkeypatch.setattr(levybank.stable, "laplace_exponent", wrong)
+    rows = validate_sampler(0.75, 1.0, 50000, [0.5], seed=0)
+    assert rows[0].analytic == pytest.approx(1.02 * math.exp(-laplace_exponent(0.75, 1.0, 0.5)))
     assert rows[0].flagged
 
 
