@@ -9,9 +9,9 @@ Subcommands:
   validate  sampler Laplace-transform suite plus covariance oracle check
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
-failure (non-finite estimate).  All numeric CSV cells carry 17 significant
-digits.  Heavy imports happen after option parsing so --threads can pin the
-BLAS thread count first.
+failure (non-finite estimate, or a zero reference probability).  All numeric
+CSV cells carry 17 significant digits.  Heavy imports happen inside the
+commands, so main() pins BLAS to one thread before numpy loads.
 """
 
 from __future__ import annotations
@@ -68,19 +68,18 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _ensure_finite(label: str, *estimates) -> None:
+def _check_numbers(label: str, *estimates) -> None:
+    """Refuse a non-finite estimate, and a zero benchmark (order -1): no relative error."""
     for est in estimates:
         if not (math.isfinite(est.value) and math.isfinite(est.std_error)):
             raise _NumericalFailure(f"non-finite estimate in {label}: {est}")
+        if est.order == -1 and est.value == 0.0:
+            raise _NumericalFailure(f"{label}: benchmark probability is zero, "
+                                    "relative errors undefined")
 
 
 def _status(msg: str) -> None:
     print(msg, file=sys.stderr)
-
-
-def _parse_x(descriptor: str, dim: int):
-    import numpy as np
-    return np.asarray(parse_x(descriptor, dim))
 
 
 def _make_field(cfg, kind: str):
@@ -90,10 +89,9 @@ def _make_field(cfg, kind: str):
         return sine_field()
     if kind == "zero":
         return zero_field()
-    if kind == "bc":
-        return bounded_cubic_field(cfg.field_b0, np.full(cfg.dim, cfg.field_ybar),
-                                   cfg.field_sharpness)
-    raise ConfigError(f"unknown field kind {kind!r}")
+    # "bc": config admits no other kind
+    return bounded_cubic_field(cfg.field_b0, np.full(cfg.dim, cfg.field_ybar),
+                               cfg.field_sharpness)
 
 
 def _make_spec(cfg, alpha: float):
@@ -104,12 +102,12 @@ def _make_spec(cfg, alpha: float):
                        sigmas=np.ones(cfg.dim), horizon=cfg.horizon)
 
 
-def _solve_shift(cfg, field, x):
+def _solve_shift(cfg, field, s: float, x):
+    """The time shift from (s, x); the flow does not depend on alpha."""
     from .core import TimeGrid
     from .flow import solve_flow
-    step = min(cfg.delta_fine, 1e-3)
-    grid = TimeGrid(0.0, cfg.horizon, step)
-    return solve_flow(_make_spec(cfg, cfg.alphas[0]), field, cfg.s, x, grid)
+    grid = TimeGrid(0.0, cfg.horizon, min(cfg.delta_fine, 1e-3))
+    return solve_flow(_make_spec(cfg, cfg.alpha), field, s, x, grid)
 
 
 def _bank_path(cfg, alpha: float, n_alphas: int) -> Path:
@@ -182,9 +180,9 @@ def cmd_bank(cfg, args) -> int:
     return 0
 
 
-def _query_for(cfg, sigma: float, t: float, x, field, use_shift: bool):
+def _query_for(cfg, s: float, sigma: float, t: float, x, field, use_shift: bool):
     from .estimators import QueryParams
-    return QueryParams(s=cfg.s, t=t, x=x, sigma_scale=sigma, radius=cfg.radius,
+    return QueryParams(s=s, t=t, x=x, sigma_scale=sigma, radius=cfg.radius,
                        field=field, use_shift=use_shift)
 
 
@@ -204,9 +202,10 @@ def cmd_table(cfg, args) -> int:
     from .estimators import em_benchmark, partial_sums
     sigma = _single("table", "query.sigmas", cfg.sigmas)
     t = _single("table", "query.t_values", cfg.t_values or [cfg.horizon])
-    x = _parse_x(cfg.x, cfg.dim)
+    x = parse_x(cfg.x, cfg.dim)
     field = _make_field(cfg, cfg.field_kind)
-    shift = _solve_shift(cfg, field, x) if cfg.use_shift else None
+    shift = _solve_shift(cfg, field, cfg.s, x) if cfg.use_shift else None
+    q = _query_for(cfg, cfg.s, sigma, t, x, field, cfg.use_shift)
     max_order = max(cfg.orders)
     header = ["alpha", "P"] + [c for k in range(max(max_order, 1) + 1)
                                for c in (f"v{k}", f"eps{k}_r")]
@@ -214,12 +213,11 @@ def cmd_table(cfg, args) -> int:
     for alpha in cfg.alphas:
         spec = _make_spec(cfg, alpha)
         bank = _ensure_bank(cfg, spec, alpha, len(cfg.alphas))
-        q = _query_for(cfg, sigma, t, x, field, cfg.use_shift)
         t0 = time.perf_counter()
         bench = em_benchmark(spec, q, cfg.benchmark_paths, cfg.delta_em,
                              cfg.bank_seed, method=cfg.benchmark_method)
         iterates = _iterates(cfg, bank, spec, shift, q, max_order)
-        _ensure_finite(f"table {args.table} alpha={alpha:g}", bench, *iterates)
+        _check_numbers(f"table {args.table} alpha={alpha:g}", bench, *iterates)
         sums = partial_sums(iterates, bench)
         row = [alpha, bench.value]
         se_row = [alpha, bench.std_error]
@@ -245,9 +243,9 @@ def cmd_figure(cfg, args) -> int:
     field_kind, curves = _FIGURE_PRESETS[args.figure]
     if "field_kind" in cfg.explicit:
         field_kind = cfg.field_kind
-    from .estimators import em_benchmark_series
+    from .estimators import em_benchmark_series, partial_sums
     t_grid = cfg.t_values or [round(0.1 * k, 10) for k in range(1, 11)]
-    x = _parse_x(cfg.x, cfg.dim)
+    x = parse_x(cfg.x, cfg.dim)
     field = _make_field(cfg, field_kind)
     shift = None
     out = Path(cfg.out_dir)
@@ -256,29 +254,22 @@ def cmd_figure(cfg, args) -> int:
     written = []
     n_distinct = len({curve[0] for curve in curves})
     for alpha, sigma, use_shift in curves:
-        run = replace(cfg, alphas=[alpha], field_kind=field_kind,
-                      use_shift=use_shift)
-        spec = _make_spec(run, alpha)
-        bank = _ensure_bank(run, spec, alpha, n_distinct)
+        spec = _make_spec(cfg, alpha)
+        bank = _ensure_bank(cfg, spec, alpha, n_distinct)
         if use_shift and shift is None:
-            shift = _solve_shift(run, field, x)
-        q_last = _query_for(run, sigma, t_grid[-1], x, field, use_shift)
-        bench = em_benchmark_series(spec, q_last, t_grid, run.benchmark_paths,
-                                    run.delta_em, run.bank_seed,
-                                    method=run.benchmark_method)
+            shift = _solve_shift(cfg, field, cfg.s, x)
+        q_last = _query_for(cfg, cfg.s, sigma, t_grid[-1], x, field, use_shift)
+        bench = em_benchmark_series(spec, q_last, t_grid, cfg.benchmark_paths,
+                                    cfg.delta_em, cfg.bank_seed,
+                                    method=cfg.benchmark_method)
         rows = []
         for t_val, b_est in zip(t_grid, bench):
-            q = _query_for(run, sigma, t_val, x, field, use_shift)
-            v0, v1 = _iterates(run, bank, spec, shift, q, 1)
-            _ensure_finite(f"figure {args.figure} t={t_val:g}", b_est, v0, v1)
-            p = b_est.value
-            if p == 0.0:
-                raise _NumericalFailure(
-                    f"figure {args.figure} t={t_val:g}: benchmark probability "
-                    "is zero, relative errors undefined")
-            rows.append([t_val, p, v0.value, v0.value + v1.value,
-                         abs((p - v0.value) / p),
-                         abs((p - v0.value - v1.value) / p)])
+            q = _query_for(cfg, cfg.s, sigma, t_val, x, field, use_shift)
+            iterates = _iterates(cfg, bank, spec, shift, q, 1)
+            _check_numbers(f"figure {args.figure} t={t_val:g}", b_est, *iterates)
+            s0, s1 = partial_sums(iterates, b_est)
+            rows.append([t_val, b_est.value, s0.partial_sum, s1.partial_sum,
+                         abs(s0.eps_rel), abs(s1.eps_rel)])
         tag = f"alpha{alpha:g}_sigma{sigma:g}_" + ("shift" if use_shift else "noshift")
         path = out / f"figure{args.figure}_{tag}.csv"
         _write_csv(path, header, rows)
@@ -303,7 +294,6 @@ def cmd_sweep(cfg, args) -> int:
     # sigma is the innermost loop, so the rows of one (field, x, s) key are
     # consecutive and one shift at a time is held
     shift_key, shift = None, None
-    n_ok = 0
     for s_val in cfg.sweep_s_values:
         for x_desc in cfg.sweep_x_values:
             for field_kind in cfg.sweep_fields:
@@ -312,20 +302,18 @@ def cmd_sweep(cfg, args) -> int:
                            cfg.use_shift]
                     t0 = time.perf_counter()
                     try:
-                        x = _parse_x(x_desc, cfg.dim)
+                        x = parse_x(x_desc, cfg.dim)
                         fld = _make_field(cfg, field_kind)
-                        run = replace(cfg, s=s_val, field_kind=field_kind)
                         ck = (field_kind, x_desc, s_val)
                         if cfg.use_shift and ck != shift_key:
                             shift_key, shift = None, None   # free the last one first
-                            shift = _solve_shift(run, fld, x)
+                            shift = _solve_shift(cfg, fld, s_val, x)
                             shift_key = ck
-                        q = _query_for(run, sigma, t, x, fld, cfg.use_shift)
-                        v0, v1 = _iterates(run, bank, spec, shift, q, 1)
-                        _ensure_finite(f"sweep row {key}", v0, v1)
+                        q = _query_for(cfg, s_val, sigma, t, x, fld, cfg.use_shift)
+                        v0, v1 = _iterates(cfg, bank, spec, shift, q, 1)
+                        _check_numbers(f"sweep row {key}", v0, v1)
                         rows.append(key + ["ok", v0.value, v0.std_error,
                                            v1.value, v1.std_error])
-                        n_ok += 1
                     except (ConfigError, ValueError) as exc:
                         _status(f"sweep row {key} invalid: {exc}")
                         rows.append(key + ["invalid", "nan", "nan", "nan", "nan"])
@@ -334,7 +322,7 @@ def cmd_sweep(cfg, args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "sweep.csv", header, rows)
     _write_csv(out / "sweep_timing.csv", header[:6] + ["wall_ms"], timing_rows)
-    _status(f"sweep: {n_ok}/{len(rows)} rows ok")
+    _status(f"sweep: {sum(row[6] == 'ok' for row in rows)}/{len(rows)} rows ok")
     print(out / "sweep.csv")
     print(out / "sweep_timing.csv")
     return 0
@@ -391,10 +379,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="scale profile (default desk)")
     common.add_argument("--seed", type=int, metavar="U64",
                         help="base seed override")
-    common.add_argument("--threads", type=int, metavar="K",
-                        help="BLAS/OpenMP thread count (bank generation and the "
-                             "iterate kernel always run on two threads; no byte "
-                             "of the bank depends on it)")
     parser = argparse.ArgumentParser(
         prog="levybank",
         description="Tail probabilities for semilinear SDEs with subordinated "
@@ -416,14 +400,12 @@ _DISPATCH = {"bank": cmd_bank, "table": cmd_table, "figure": cmd_figure,
 
 
 def main(argv=None) -> int:
+    # One BLAS thread, before any command loads numpy: BLAS worker threads
+    # would compete with the iterate kernel's two walkers, and no value
+    # depends on the thread count.
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
     args = _build_parser().parse_args(argv)
-    if args.threads is not None:
-        if args.threads < 1:
-            print("error: --threads must be >= 1", file=sys.stderr)
-            return 2
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     try:
         if args.seed is not None and not 0 <= args.seed < 2 ** 64:
             raise ConfigError(f"--seed must be an unsigned 64-bit int, got {args.seed}")

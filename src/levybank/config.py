@@ -164,9 +164,7 @@ def parse_config_file(path: str) -> dict:
         attr, parser = KEYS[key]
         try:
             out[attr] = parser(raw)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:   # a ConfigError too: name the key
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return out
 
@@ -193,20 +191,19 @@ def parse_x(descriptor: str, dim: int) -> list:
 
 
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
-    if cfg.profile not in _PROFILES:
-        raise ConfigError(f"unknown profile {cfg.profile!r} (desk or paper)")
     for key, (attr, parser) in KEYS.items():
         val = getattr(cfg, attr)
         if parser in (float, _to_float_list) and val is not None:
             if not all(math.isfinite(v) for v in (val if isinstance(val, list) else [val])):
                 raise ConfigError(f"{key} must be finite, got {val}")
-    for name, val in (("problem.dim", cfg.dim), ("bank.m_sub", cfg.m_sub),
-                      ("bank.m_ou", cfg.m_ou)):
-        if val < 0 or (name == "problem.dim" and val < 1):
+    if cfg.dim < 1:
+        raise ConfigError(f"problem.dim must be at least 1, got {cfg.dim}")
+    for name, val in (("bank.m_sub", cfg.m_sub), ("bank.m_ou", cfg.m_ou)):
+        if val < 0:
             raise ConfigError(f"{name} must be nonnegative, got {val}")
-    for a in [cfg.alpha] + list(cfg.alphas):
-        if not 0.5 < a < 1.0:
-            raise ConfigError(f"alpha must lie in (1/2, 1), got {a}")
+    for name, vals in (("problem.alpha", [cfg.alpha]), ("query.alphas", cfg.alphas)):
+        if not vals or not all(0.5 < a < 1.0 for a in vals):
+            raise ConfigError(f"{name} must be values in (1/2, 1), got {vals}")
     for name, val in (("bank.delta_fine", cfg.delta_fine),
                       ("bank.delta_coarse", cfg.delta_coarse),
                       ("problem.horizon", cfg.horizon),
@@ -224,8 +221,13 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.benchmark_method not in ("exp", "euler"):
         raise ConfigError(f"estimator.benchmark_method must be exp or euler, "
                           f"got {cfg.benchmark_method!r}")
-    if cfg.field_kind not in ("sine", "bc", "zero"):
-        raise ConfigError(f"query.field must be sine, bc or zero, got {cfg.field_kind!r}")
+    for name, kinds in (("query.field", [cfg.field_kind]), ("sweep.fields", cfg.sweep_fields)):
+        if not kinds or not set(kinds) <= {"sine", "bc", "zero"}:
+            raise ConfigError(f"{name} must name sine, bc or zero, got {kinds}")
+    for name, vals in (("sweep.s_values", cfg.sweep_s_values),
+                       ("sweep.x_values", cfg.sweep_x_values)):
+        if not vals:
+            raise ConfigError(f"{name} must not be empty")
     if cfg.orders != list(range(len(cfg.orders))) or not cfg.orders:
         raise ConfigError(f"estimator.orders must be consecutive 0..n, got {cfg.orders}")
     if cfg.bank_seed < 0 or cfg.bank_seed >= 2 ** 64:

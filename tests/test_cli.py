@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import os
 import struct
 import weakref
 from pathlib import Path
@@ -18,9 +19,17 @@ from levybank import cli
 from levybank.bank import load_bank
 from levybank.estimators import IterateEstimate
 
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 HEADER_FMT = "<4sI32sdddIQQQB11x"
 HEADER_FIELDS = ("magic", "version", "spec_hash", "delta_fine", "delta_coarse",
                  "horizon", "dim", "m_sub", "m_ou", "base_seed", "precision")
+
+
+@pytest.fixture(autouse=True)
+def restore_blas_env(monkeypatch):
+    """cli.main pins BLAS in os.environ; give each test's variables back."""
+    for var in BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
 
 
 def conf_text(out_dir: Path, extra: str = "") -> str:
@@ -161,6 +170,7 @@ def test_sweep_holds_one_shift_at_a_time(tmp_path, monkeypatch):
     sweep = tmp_path / "sweep.ini"
     sweep.write_text(conf_text(tmp_path / "out", f"""
 bank.path = {bank_file}
+query.shift = on
 sweep.s_values = 0, 0.5
 sweep.sigmas = 0.5, 1.0
 sweep.fields = sine, zero
@@ -209,13 +219,43 @@ def test_exit_code_config_error(tmp_path, capsys):
     "query.sigmas = 0.5, nan", "query.sigmas = inf", "query.sigmas = 0",
     "sweep.sigmas = nan", "query.t_values = 0.5, nan", "query.field_b0 = nan",
     "query.x = const:nan", "query.x = 0.4, inf", "query.x = 0.4",
+    # lists a command cannot run, and a field kind it does not know
+    "query.alphas =", "sweep.s_values =", "sweep.fields =", "sweep.x_values =",
+    "sweep.fields = sine, cubic", "problem.dim = 0",
+    # every other rejection of a config file's values
+    "query.shift = maybe", "no equals sign", "problem.dim = abc", "query.x = const:abc",
+    "profile = bogus", "problem.alpha = 0.5", "estimator.mesh = 0", "bank.m_ou = -1",
+    "bank.precision = 2", "estimator.benchmark_method = rk4", "query.field = cubic",
+    "estimator.orders = 0, 2", "bank.seed = -1", "query.s = -0.1",
 ])
 def test_exit_code_non_finite_config_value(tmp_path, capsys, line):
-    # NaN passed the positivity checks, and sigmas and x were not checked
+    # NaN passed the positivity checks, and sigmas and x were not checked;
+    # each rejection exits 2 before a bank is read or made, naming its key
     conf = write_conf(tmp_path, line + "\n")
     assert cli.main(["table", "--table", "1", "--config", str(conf)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and line.split(" =")[0] in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_exit_code_unreadable_config(tmp_path, capsys):
+    missing = tmp_path / "absent.ini"
+    assert cli.main(["table", "--table", "1", "--config", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config") and str(missing) in err
+
+
+def test_blas_runs_on_one_thread(tmp_path, monkeypatch, capsys):
+    # the benchmark pins BLAS the same way; there is no option to change it
+    for var in BLAS_VARS:
+        monkeypatch.setenv(var, "2")
+    conf = write_conf(tmp_path)
+    assert cli.main(["bank", "--config", str(conf), "--bank", str(tmp_path / "b.lvib")]) == 0
+    assert [os.environ[var] for var in BLAS_VARS] == ["1", "1", "1"]
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["table", "--table", "1", "--config", str(conf), "--threads", "1"])
+    assert stop.value.code == 2
+    assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
 
 
 def test_exit_code_missing_bank(tmp_path, capsys):
@@ -289,6 +329,15 @@ def test_exit_code_numerical_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(levybank.estimators, "v0_estimate", poisoned)
     conf = write_conf(tmp_path, "query.field = zero\nquery.shift = off\n")
     assert cli.main(["table", "--table", "1", "--config", str(conf)]) == 4
+
+
+@pytest.mark.parametrize("args", [["table", "--table", "1"], ["figure", "--figure", "1"]],
+                         ids=["table", "figure"])
+def test_exit_code_zero_reference(tmp_path, capsys, args):
+    # no reference path leaves a ball of radius 100: no relative error exists
+    conf = write_conf(tmp_path, "query.radius = 100\nquery.t_values = 1.0\n")
+    assert cli.main(args + ["--config", str(conf)]) == 4
+    assert "benchmark probability is zero" in capsys.readouterr().err
 
 
 def test_exit_code_bad_seed(tmp_path, capsys):

@@ -33,7 +33,9 @@ DET_GRAD_TRUE = 0.00998379156833819
 
 @pytest.fixture(scope="module")
 def det_bank1(spec1):
-    return generate_bank(spec1, 1e-3, 1e-2, 0, 50000, 3, deterministic_clock=True)
+    # a fine step of 1e-2 is exact for a deterministic clock; the records draw
+    # one normal per (checkpoint block, mode) whatever the fine step
+    return generate_bank(spec1, 1e-2, 1e-2, 0, 50000, 3, deterministic_clock=True)
 
 
 @pytest.fixture(scope="module")
@@ -220,31 +222,82 @@ def test_v0_matches_gaussian_closed_form(det_bank1, spec1):
 # Gaussian: N(m, V) with m = e^{-lam(t-s)} x, plus c (1 - e^{-lam(t-s)})/lam
 # when the shift is on (f = c, so F_{s,t} is that term), and
 # V = sigma^2 (1 - e^{-2 lam(t-s)})/(2 lam).
-LAM2 = ProblemSpec(alpha=0.75, gamma_bar=1.0, dim=1, lambdas=np.array([2.0]),
+LAM, C, X, RADIUS, SIGMA = 2.0, 0.8, 0.3, 0.6, 0.7
+LAM2 = ProblemSpec(alpha=0.75, gamma_bar=1.0, dim=1, lambdas=np.array([LAM]),
                    sigmas=np.ones(1), horizon=1.0)
 
 
 @pytest.fixture(scope="module", params=[1, 2])
 def det_bank_lam2(request):
-    # a fine step of 1e-2 is exact for a deterministic clock and keeps 3e4 records small
-    return generate_bank(LAM2, 1e-2, 1e-2, 0, 30000, request.param, deterministic_clock=True)
+    # a fine step of 1e-2 is exact for a deterministic clock and keeps 3e4
+    # records and 6e4 sub paths small; the sub paths draw from their own stream
+    # domain, so they leave the records' bits as they are
+    return generate_bank(LAM2, 1e-2, 1e-2, 60000, 30000, request.param,
+                         deterministic_clock=True)
+
+
+def constant_drift_case(s: float, t: float, use_shift: bool) -> tuple:
+    """The query with drift B = C, and its time shift when use_shift (f = C)."""
+    field = custom_field(lambda t, y: np.full_like(y, C), bound=C)
+    q = QueryParams(s=s, t=t, x=np.array([X]), sigma_scale=SIGMA, radius=RADIUS,
+                    field=field, use_shift=use_shift)
+    return q, solve_flow(LAM2, field, s, q.x, TimeGrid(0.0, 1.0, 1e-3)) if use_shift else None
 
 
 @pytest.mark.parametrize("use_shift", [False, True])
 @pytest.mark.parametrize("s, t", [(0.0, 1.0), (0.2, 0.9)])
 def test_v0_matches_constant_drift_oracle(det_bank_lam2, s, t, use_shift):
-    lam, c, x, radius, sigma = 2.0, 0.8, 0.3, 0.6, 0.7
-    field = custom_field(lambda t, y: np.full_like(y, c), bound=c)
-    q = QueryParams(s=s, t=t, x=np.array([x]), sigma_scale=sigma, radius=radius,
-                    field=field, use_shift=use_shift)
-    shift = solve_flow(LAM2, field, s, q.x, TimeGrid(0.0, 1.0, 1e-3)) if use_shift else None
-    decay = math.exp(-lam * (t - s))
-    m = decay * x + (c * (1.0 - decay) / lam if use_shift else 0.0)
-    scale = sigma * math.sqrt((1.0 - decay ** 2) / lam)   # sqrt(2 V)
-    want = 0.5 * (math.erfc((radius - m) / scale) + math.erfc((radius + m) / scale))
+    q, shift = constant_drift_case(s, t, use_shift)
+    decay = math.exp(-LAM * (t - s))
+    m = decay * X + (C * (1.0 - decay) / LAM if use_shift else 0.0)
+    scale = SIGMA * math.sqrt((1.0 - decay ** 2) / LAM)   # sqrt(2 V)
+    want = 0.5 * (math.erfc((RADIUS - m) / scale) + math.erfc((RADIUS + m) / scale))
     est = v0_estimate(det_bank_lam2, LAM2, shift, q)
     assert est.n_samples == 30000
     assert abs(est.value - want) <= 4.0 * est.std_error, (est.value - want) / est.std_error
+
+
+def exit_derivative(order: int, m: float, var: float) -> float:
+    """d^order/dm^order of g(m) = P(|N(m, var)| > RADIUS), order 1 to 3.
+
+    g = 1 + Phi(a) - Phi(b) with a, b = (m -+ RADIUS)/sqrt(var), and the k-th
+    derivative of Phi is (-1)^(k-1) He_(k-1)(z) phi(z) (Hermite polynomials).
+    """
+    sd = math.sqrt(var)
+    hermite = (lambda z: 1.0, lambda z: z, lambda z: z * z - 1.0)[order - 1]
+    a, b = (m - RADIUS) / sd, (m + RADIUS) / sd
+    phi = [math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) for z in (a, b)]
+    return (-1) ** (order - 1) * (hermite(a) * phi[0] - hermite(b) * phi[1]) / sd ** order
+
+
+@pytest.mark.parametrize("order, n", [(1, 30000), (2, 30000), (3, 20000)])
+@pytest.mark.parametrize("s, t, mesh", [(0.0, 1.0, 0.05), (0.2, 0.9, 0.1)])
+def test_iterates_match_constant_drift_oracle(det_bank_lam2, s, t, mesh, order, n):
+    # Every interval is Gaussian, so Gaussian integration by parts turns each
+    # node's weight into a derivative of g, and the left-Riemann simplex sum
+    # is v^n = e_n(w) C^n g^(n)(m): w_j = h e^{-lam (t - tau_j)} over the
+    # nodes tau_j = s + j h < t, e_n the n-th elementary symmetric polynomial,
+    # m = e^{-lam (t-s)} x and g the exit probability of N(m, V_{s,t}).
+    q, _ = constant_drift_case(s, t, False)
+    w = mesh * np.exp(-LAM * (t - (s + mesh * np.arange(round((t - s) / mesh)))))
+    e = np.zeros(order + 1)
+    e[0] = 1.0
+    for wj in w:
+        e[1:] = e[1:] + wj * e[:-1]
+    var = SIGMA ** 2 * (1.0 - math.exp(-2.0 * LAM * (t - s))) / (2.0 * LAM)
+    want = e[order] * C ** order * exit_derivative(order, math.exp(-LAM * (t - s)) * X, var)
+    est = v1_estimate(det_bank_lam2, LAM2, None, q, mesh, n) if order == 1 \
+        else vn_estimate(det_bank_lam2, LAM2, None, q, order, mesh, n)
+    assert est.n_samples == n
+    assert abs(est.value - want) <= 4.0 * est.std_error, (est.value - want) / est.std_error
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_iterates_vanish_when_the_shift_takes_the_drift(det_bank_lam2, order):
+    # with the shift on, f = C and the kernel's drift B - f is exactly 0
+    q, shift = constant_drift_case(0.2, 0.9, True)
+    est = vn_estimate(det_bank_lam2, LAM2, shift, q, order, 0.1, 2000)
+    assert est.value == 0.0 and est.std_error == 0.0
 
 
 def test_v0_needs_records(spec1):
