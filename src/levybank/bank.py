@@ -18,7 +18,9 @@ is one centered Gaussian, so each block takes a single standard normal:
     V_{b,n} = sum_j e^{-2 lambda_n d (k-1-j)} (1-e^{-2 lambda_n d})/(2 lambda_n d) dL_{bk+j}
 
 V is the covariance integral int e^{-2 lambda (t-r)} dL_r over the block under
-the "L linear within a bin" surrogate, i.e. dL_block @ covariance_weights.
+the "L linear within a bin" surrogate, i.e. dL_block @ covariance_weights,
+formed by core.contract in pieces of at most CONTRACT_PIECE fine steps, so
+the bytes do not depend on the BLAS thread count.
 covariance_integral, the covariance of any on-grid window given the clock,
 uses the same per-bin weights, so the two are consistent and both become
 exact in the deterministic-clock limit, which is the test oracle.  The
@@ -51,8 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (GRID_RTOL, DiagonalOperator, ProblemSpec, TimeGrid,
-                   covariance_weights)
+from .core import DiagonalOperator, ProblemSpec, TimeGrid, contract, covariance_weights
 from .stable import increment_scale, kanter_draws, kanter_transform
 from .streams import (DOMAIN_RECORD_BLOCK_GAUSS, DOMAIN_RECORD_CLOCK,
                       DOMAIN_SUB_PATH, make_rng)
@@ -139,11 +140,7 @@ def _grids(horizon: float, delta_fine: float, delta_coarse: float) -> tuple[Time
     """
     fine = TimeGrid(0.0, horizon, delta_fine)
     coarse = TimeGrid(0.0, horizon, delta_coarse)
-    ratio = delta_coarse / delta_fine
-    k = int(round(ratio))
-    if k < 1 or abs(ratio - k) > GRID_RTOL * ratio:
-        raise ValueError(
-            f"delta_coarse {delta_coarse} is not an integer multiple of delta_fine {delta_fine}")
+    k = TimeGrid(0.0, delta_coarse, delta_fine).n_steps
     if fine.n_steps != k * coarse.n_steps:
         raise ValueError(
             f"checkpoint grid (step {delta_coarse}) must divide the fine grid "
@@ -208,13 +205,13 @@ def generate_bank(spec: ProblemSpec, delta_fine: float, delta_coarse: float,
         np.cumsum(out, axis=1, out=rows)
 
     def records(lo: int, hi: int, kanter: list, dl: np.ndarray, std: np.ndarray,
-                decayed: np.ndarray, staged: np.ndarray | None) -> None:
+                spare: np.ndarray, decayed: np.ndarray, staged: np.ndarray | None) -> None:
         clocks(record_clock, DOMAIN_RECORD_CLOCK, lo, hi, kanter)
         chk = record_chk[lo:hi] if staged is None else staged[:hi - lo]
         chk[:, 0] = 0.0
         for r in range(lo, hi):
             np.subtract(record_clock[r, 1:], record_clock[r, :-1], out=dl)
-            np.sqrt(np.matmul(dl.reshape(n_blocks, k_ratio), block_weights, out=std), out=std)
+            np.sqrt(contract(dl.reshape(n_blocks, k_ratio), block_weights, std, spare), out=std)
             noise = chk[r - lo, 1:]
             make_rng(base_seed, DOMAIN_RECORD_BLOCK_GAUSS, r).standard_normal(
                 (n_blocks, dim), out=noise)
@@ -227,7 +224,7 @@ def generate_bank(spec: ProblemSpec, delta_fine: float, delta_coarse: float,
 
     def buffers() -> tuple:
         kanter = [np.empty((per, n_fine)) for _ in range(3)]
-        return kanter, (np.empty(n_fine), np.empty((n_blocks, dim)), np.empty((per, dim)),
+        return kanter, (np.empty(n_fine), *np.empty((2, n_blocks, dim)), np.empty((per, dim)),
                         np.empty((per, n_blocks + 1, dim)) if precision == 4 else None)
 
     def work(todo: list, kanter: list, per_record: tuple) -> None:

@@ -24,7 +24,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, build_config, parse_x
+from .config import KEYS, ConfigError, build_config, parse_x
 
 
 class _NumericalFailure(Exception):
@@ -243,6 +243,11 @@ def cmd_figure(cfg, args) -> int:
     field_kind, curves = _FIGURE_PRESETS[args.figure]
     if "field_kind" in cfg.explicit:
         field_kind = cfg.field_kind
+    ignored = [key for key, (attr, _) in KEYS.items()
+               if attr in ("alphas", "sigmas", "use_shift", "orders") and attr in cfg.explicit]
+    if ignored:
+        _status(f"figure {args.figure} ignores {', '.join(ignored)}: its preset fixes each "
+                "curve's alpha, sigma and shift, and runs orders 0-1")
     from .estimators import em_benchmark_series, partial_sums
     t_grid = cfg.t_values or [round(0.1 * k, 10) for k in range(1, 11)]
     x = parse_x(cfg.x, cfg.dim)

@@ -228,6 +228,8 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
                        ("sweep.x_values", cfg.sweep_x_values)):
         if not vals:
             raise ConfigError(f"{name} must not be empty")
+    if cfg.t_values == []:   # unset means the horizon; set but empty is an error
+        raise ConfigError("query.t_values must not be empty")
     if cfg.orders != list(range(len(cfg.orders))) or not cfg.orders:
         raise ConfigError(f"estimator.orders must be consecutive 0..n, got {cfg.orders}")
     if cfg.bank_seed < 0 or cfg.bank_seed >= 2 ** 64:

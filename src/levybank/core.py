@@ -21,6 +21,9 @@ DiagonalOperator = np.ndarray
 
 # Relative slack when deciding whether a time sits on a uniform grid.
 GRID_RTOL = 1e-9
+# Inner length of one matrix product in contract(): up to this length OpenBLAS
+# gives the same bits for one and two threads (at 1000 it does not).
+CONTRACT_PIECE = 100
 
 
 def squared_eigenvalues(dim: int) -> np.ndarray:
@@ -153,3 +156,15 @@ def covariance_weights(lambdas: np.ndarray, d: float, n_bins: int) -> np.ndarray
     """
     ages = np.arange(n_bins - 1, -1, -1.0)
     return np.exp(-2.0 * np.outer(ages, lambdas) * d) * phi1(2.0 * lambdas * d)
+
+
+def contract(a: np.ndarray, w: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """a @ w into out, summed in order over pieces of at most CONTRACT_PIECE rows of w.
+
+    Each piece is one BLAS product, short enough that the thread count moves
+    no bit.  scratch, shaped like out, holds each later piece.
+    """
+    np.matmul(a[..., :CONTRACT_PIECE], w[:CONTRACT_PIECE], out=out)
+    for p in range(CONTRACT_PIECE, len(w), CONTRACT_PIECE):
+        out += np.matmul(a[..., p:p + CONTRACT_PIECE], w[p:p + CONTRACT_PIECE], out=scratch)
+    return out

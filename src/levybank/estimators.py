@@ -58,7 +58,8 @@ Conventions shared by the iterate estimators:
   by sigma at read time; no sampler ever runs inside an iterate estimator.
   A mesh bin's covariance is its clock increments times per-step weights
   that carry sigma^2, one BLAS matrix product per piece of at most
-  CONTRACT_PIECE fine steps, so the BLAS thread count moves no bit.
+  core.CONTRACT_PIECE fine steps, so the BLAS thread count moves no bit.
+  The bank's block variances are contracted in the same pieces.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from typing import Optional
 import numpy as np
 
 from .bank import SimulationBank, covariance_integral
-from .core import GRID_RTOL, ProblemSpec, covariance_weights, phi1
+from .core import GRID_RTOL, ProblemSpec, TimeGrid, contract, covariance_weights, phi1
 from .fields import VectorFieldSpec, eval_field
 from .flow import TimeShift, bin_forcings
 from .stable import sample_stable_increment
@@ -84,9 +85,6 @@ COV_FLOOR = 1e-300
 BENCHMARK_METHODS = ("exp", "euler")
 EM_CHUNK_BYTES = 2 << 20   # benchmark noise handed over per chunk of steps
 GRADIENT_BLOCK_BYTES = 1 << 20   # clock increments ou_gradient holds at once
-# fine steps per matrix product in a bin's covariance: up to this inner length
-# OpenBLAS gives the same bits for one and two threads (at 1000 it does not)
-CONTRACT_PIECE = 100
 # rows (tuples times nodes) that the innermost simplex level hands to one numpy
 # call from order 2 on: enough that two walkers overlap in numpy, not in Python
 ROWS = 400
@@ -146,14 +144,25 @@ def _meta(q: QueryParams) -> dict:
             "field": q.field.kind, "shift": bool(q.use_shift)}
 
 
-def _mean_se(samples: np.ndarray) -> tuple[float, float]:
+def _estimate(samples: np.ndarray, order: int, q: QueryParams, **meta) -> IterateEstimate:
+    """The samples' mean and standard error, with the query's meta and then `meta`."""
     n = samples.size
     se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return float(samples.mean()), se
+    return IterateEstimate(value=float(samples.mean()), std_error=se, n_samples=n,
+                           order=order, meta={**_meta(q), **meta})
 
 
-def _effective_shift(spec: ProblemSpec, shift: Optional[TimeShift],
-                     q: QueryParams) -> Optional[TimeShift]:
+def _check_query(spec: ProblemSpec, q: QueryParams) -> None:
+    if q.x.shape != (spec.dim,):
+        raise ValueError(f"x must have shape ({spec.dim},), got {q.x.shape}")
+
+
+def _bank_query(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShift],
+                q: QueryParams) -> Optional[TimeShift]:
+    """Check a query against the bank's spec and the shift; the shift to use, or None."""
+    if bank.header.spec_hash != spec.content_hash():
+        raise ValueError("bank was generated under a different problem spec")
+    _check_query(spec, q)
     if not q.use_shift:
         return None
     if shift is None:
@@ -166,17 +175,6 @@ def _effective_shift(spec: ProblemSpec, shift: Optional[TimeShift],
         raise ValueError(f"shift covers [{g.start}, {g.end}], "
                          f"the query needs [{q.s}, {q.t}]")
     return shift
-
-
-def _check_query(spec: ProblemSpec, q: QueryParams) -> None:
-    if q.x.shape != (spec.dim,):
-        raise ValueError(f"x must have shape ({spec.dim},), got {q.x.shape}")
-
-
-def _check_bank(bank: SimulationBank, spec: ProblemSpec, q: QueryParams) -> None:
-    if bank.header.spec_hash != spec.content_hash():
-        raise ValueError("bank was generated under a different problem spec")
-    _check_query(spec, q)
 
 
 def _selection(seed: Optional[int], m_avail: int, n: int, groups: int,
@@ -262,13 +260,7 @@ def em_benchmark_series(spec: ProblemSpec, q: QueryParams, t_list, n_paths: int,
     t_list = [float(t) for t in t_list]
     if not t_list or any(t <= q.s or t > spec.horizon * (1 + GRID_RTOL) for t in t_list):
         raise ValueError("benchmark times must lie in (s, horizon]")
-    steps = {}
-    for t in t_list:
-        ratio = (t - q.s) / delta_em
-        k = int(round(ratio))
-        if k < 1 or abs(ratio - k) > GRID_RTOL * max(1.0, ratio):
-            raise ValueError(f"t={t} is not on the benchmark step grid")
-        steps[k] = t
+    steps = [TimeGrid(q.s, t, delta_em).n_steps for t in t_list]
     n_steps = max(steps)
     lam, d = spec.lambdas, delta_em
     noise_w = q.sigma_scale * spec.sigmas
@@ -282,7 +274,7 @@ def em_benchmark_series(spec: ProblemSpec, q: QueryParams, t_list, n_paths: int,
     overlap = q.field.kind != "zero"
     per_chunk = max(1, EM_CHUNK_BYTES // x_state.nbytes) if overlap else 1
     buffers = [np.empty((min(per_chunk, n_steps),) + x_state.shape) for _ in range(2)]
-    out = {}
+    out = dict.fromkeys(steps)   # step count -> indicators; times may share a step
     with ThreadPoolExecutor(1) if overlap else _InlineDraws() as helper:
         def draw(lo: int):
             chunk = buffers[lo // per_chunk % 2][:min(per_chunk, n_steps - lo)]
@@ -304,17 +296,11 @@ def em_benchmark_series(spec: ProblemSpec, q: QueryParams, t_list, n_paths: int,
                     scratch *= d
                 x_state += scratch
                 x_state += step_noise
-                if (i + 1) in steps:
+                if (i + 1) in out:
                     ind = (np.linalg.norm(x_state, axis=1) > q.radius).astype(float)
-                    out[steps[i + 1]] = ind
-    results = []
-    for t in t_list:
-        value, se = _mean_se(out[t])
-        meta = _meta(q)
-        meta.update(t=t, method=method, delta_em=delta_em)
-        results.append(IterateEstimate(value=value, std_error=se, n_samples=n_paths,
-                                       order=-1, meta=meta))
-    return results
+                    out[i + 1] = ind
+    return [_estimate(out[k], -1, q, t=t, method=method, delta_em=delta_em)
+            for t, k in zip(t_list, steps)]
 
 
 def em_benchmark(spec: ProblemSpec, q: QueryParams, n_paths: int, delta_em: float,
@@ -362,7 +348,6 @@ class _MeshFrame:
     def __init__(self, bank: SimulationBank, spec: ProblemSpec,
                  shift: Optional[TimeShift], q: QueryParams, mesh: float,
                  order: int, n: int, seed: Optional[int]):
-        _check_bank(bank, spec, q)
         self.bank, self.q, self.shift, self.order = bank, q, shift, order
         coarse = bank.coarse_grid
         i_s, i_t = coarse.index_of(q.s), coarse.index_of(q.t)
@@ -391,7 +376,6 @@ class _MeshFrame:
         # OpenBLAS's slow path, and they add nothing above COV_FLOOR
         self.w2 = covariance_weights(lam, fine.step, k_fine) * self.diag ** 2  # (k, N)
         self.w2[self.w2 < np.finfo(float).tiny] = 0.0
-        self.pieces = [slice(p, p + CONTRACT_PIECE) for p in range(0, k_fine, CONTRACT_PIECE)]
         # column recurrence F[a, b] = e^{hA} F[a, b-1] + F[b-1, b] for all a < b
         # at once; its row 0 is F_from_s, and it ends as column J.  Without a
         # shift there is no forcing and no table.
@@ -447,20 +431,12 @@ class _MeshFrame:
         return other
 
     def bin_covariance(self, f: int, j: int, out: np.ndarray) -> np.ndarray:
-        """Covariance of mesh bin j alone for clock family f, anchored at tau_{j+1}.
-
-        One matrix product per piece of at most CONTRACT_PIECE fine steps,
-        summed in order, so the bits do not depend on the BLAS thread count.
-        """
+        """Covariance of mesh bin j alone for clock family f, anchored at tau_{j+1}."""
         values, rows = self.clock_rows[f]
         lo = self.lo + j * self.k
         clock = values[rows, lo:lo + self.k + 1]
         np.subtract(clock[:, 1:], clock[:, :-1], out=self.increments)
-        first, *rest = self.pieces
-        np.matmul(self.increments[:, first], self.w2[first], out=out)
-        for piece in rest:
-            out += np.matmul(self.increments[:, piece], self.w2[piece], out=self.scratch[1])
-        return out
+        return contract(self.increments, self.w2, out, self.scratch[1])
 
     def accumulate(self, out: np.ndarray, prev: np.ndarray, level: int, upper: int,
                    j: int) -> None:
@@ -641,16 +617,14 @@ def _iterate(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShift]
     if n > bank.m_ou or order * n > bank.m_sub:
         raise ValueError(f"bank too small for order={order}, n={n} "
                          f"(m_ou={bank.m_ou}, m_sub={bank.m_sub})")
-    frame = _MeshFrame(bank, spec, _effective_shift(spec, shift, q), q, mesh, order, n, seed)
+    frame = _MeshFrame(bank, spec, _bank_query(bank, spec, shift, q), q, mesh, order, n, seed)
     J, k = frame.J, _split(frame.J, order)
     with ThreadPoolExecutor(1) as pool:   # starts its thread at the first submit
         low = pool.submit(lambda walker: list(_node_sums(walker, order, J, [], order - 1, k)),
                           frame.walker()) if k >= order else None
         acc = reduce(add, _node_sums(frame, order, J, [], k, J), 0.0)
         acc = reduce(add, low.result() if low else [], acc)
-    value, se = _mean_se(frame.h ** order * acc)
-    return IterateEstimate(value=value, std_error=se, n_samples=n,
-                           order=order, meta=_meta(q))
+    return _estimate(frame.h ** order * acc, order, q)
 
 
 # ---------------------------------------------------------------------------
@@ -662,17 +636,16 @@ def _ou_endpoint(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeSh
     """Per record, the OU endpoint's exit indicator and the pieces that build it.
 
     The endpoint is e^{(t-s)A} x + F_{s,t} + sigma sqrt(Q) (chk_t - e^{(t-s)A}
-    chk_s); returns (indicator, unit segment chk_t - e^{(t-s)A} chk_s,
-    e^{(t-s)A}, sigma sqrt(Q)).
+    chk_s), F_{s,t} from the checked shift; returns (indicator, unit segment
+    chk_t - e^{(t-s)A} chk_s, e^{(t-s)A}, sigma sqrt(Q)).
     """
-    sh = _effective_shift(spec, shift, q)
     js, jt = bank.coarse_grid.index_of(q.s), bank.coarse_grid.index_of(q.t)
     chk = bank.record_checkpoints
     prop = np.exp(-spec.lambdas * (q.t - q.s))
     diag = q.sigma_scale * spec.sigmas
     unit_seg = np.asarray(chk[:, jt, :], dtype=float) \
         - prop * np.asarray(chk[:, js, :], dtype=float)
-    f_st = bin_forcings(spec, sh, [q.s, q.t])[0] if sh is not None else 0.0
+    f_st = bin_forcings(spec, shift, [q.s, q.t])[0] if shift is not None else 0.0
     endpoint = prop * q.x + f_st + diag * unit_seg
     ind = (np.linalg.norm(endpoint, axis=1) > q.radius).astype(float)
     return ind, unit_seg, prop, diag
@@ -681,12 +654,10 @@ def _ou_endpoint(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeSh
 def v0_estimate(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShift],
                 q: QueryParams) -> IterateEstimate:
     """v^0 = mean of the indicator at the OU endpoint, over all bank records."""
-    _check_bank(bank, spec, q)
+    shift = _bank_query(bank, spec, shift, q)
     if bank.m_ou < 2:
         raise ValueError("bank holds too few records for v0")
-    value, se = _mean_se(_ou_endpoint(bank, spec, shift, q)[0])
-    return IterateEstimate(value=value, std_error=se, n_samples=bank.m_ou,
-                           order=0, meta=_meta(q))
+    return _estimate(_ou_endpoint(bank, spec, shift, q)[0], 0, q)
 
 
 def v1_estimate(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShift],
@@ -748,7 +719,7 @@ def ou_gradient(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShi
     contraction stays on einsum: its inner length is the whole window, where
     BLAS products would change their last bits with the thread count.
     """
-    _check_bank(bank, spec, q)
+    shift = _bank_query(bank, spec, shift, q)
     direction = np.ascontiguousarray(direction, dtype=float)
     if direction.shape != (spec.dim,) or not np.all(np.isfinite(direction)):
         raise ValueError(f"direction must be {spec.dim} finite values, got {direction}")
@@ -763,11 +734,7 @@ def ou_gradient(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShi
                                                fine.step, spec, q.sigma_scale, q.s, q.t)
     np.maximum(cov, COV_FLOOR, out=cov)
     weight = np.einsum("mk,mk->m", (prop * direction) / cov, diag * unit_seg)
-    value, se = _mean_se(ind * weight)
-    meta = _meta(q)
-    meta["direction"] = _x_descriptor(direction)
-    return IterateEstimate(value=value, std_error=se, n_samples=bank.m_ou,
-                           order=0, meta=meta)
+    return _estimate(ind * weight, 0, q, direction=_x_descriptor(direction))
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,49 @@ def test_figure_outputs_one_file_per_curve(tmp_path):
         assert [r[0] for r in rows] == ["0.5", "1"]
 
 
+def test_figure_names_the_keys_it_ignores(tmp_path, capsys):
+    # the shared config sets query.alphas and query.sigmas; the preset's
+    # sigma 0.1 and 1.3 shift curves are written all the same
+    conf = write_conf(tmp_path, "query.sigmas = 0.3\nquery.shift = off\nquery.t_values = 1.0\n")
+    assert cli.main(["figure", "--figure", "1", "--config", str(conf)]) == 0
+    notes = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("figure 1 ignores")]
+    assert notes == ["figure 1 ignores query.alphas, query.sigmas, query.shift: its preset "
+                     "fixes each curve's alpha, sigma and shift, and runs orders 0-1"]
+    assert sorted(p.name for p in (tmp_path / "out").glob("figure1_*.csv")) == [
+        "figure1_alpha0.6_sigma0.1_shift.csv", "figure1_alpha0.6_sigma1.3_shift.csv"]
+
+
+def test_figure_uses_an_explicit_field(tmp_path):
+    # figure 1's preset drift is sine; with the zero drift every v1 is exactly 0
+    conf = write_conf(tmp_path, "query.field = zero\nquery.t_values = 0.5, 1.0\n")
+    assert cli.main(["figure", "--figure", "1", "--config", str(conf)]) == 0
+    _, rows = read_csv(tmp_path / "out" / "figure1_alpha0.6_sigma1.3_shift.csv")
+    assert len(rows) == 2 and all(r[2] == r[3] for r in rows)
+
+
+def test_bank_path_alpha_placeholder(tmp_path):
+    conf = write_conf(tmp_path, f"query.alphas = 0.6, 0.75\nquery.t_values = 1.0\n"
+                      f"bank.path = {tmp_path}/banks/b{{alpha}}.lvib\n")
+    assert cli.main(["table", "--table", "1", "--config", str(conf)]) == 0
+    assert sorted(p.name for p in (tmp_path / "banks").iterdir()) == ["b0.6.lvib", "b0.75.lvib"]
+    _, rows = read_csv(tmp_path / "out" / "table1.csv")
+    assert [float(r[0]) for r in rows] == [0.6, 0.75]
+
+
+def test_bank_path_needs_placeholder_for_several_alphas(tmp_path, capsys):
+    conf = write_conf(tmp_path, f"query.alphas = 0.6, 0.75\nbank.path = {tmp_path}/b.lvib\n")
+    assert cli.main(["table", "--table", "1", "--config", str(conf)]) == 2
+    assert "needs an {alpha} placeholder" in capsys.readouterr().err
+    assert not (tmp_path / "b.lvib").exists()
+
+
+def test_sweep_needs_a_bank(tmp_path, capsys):
+    conf = write_conf(tmp_path)
+    assert cli.main(["sweep", "--config", str(conf)]) == 2
+    assert capsys.readouterr().err.startswith("error: sweep needs a bank")
+
+
 def sweep_conf_for(tmp_path: Path, bank_file: Path) -> Path:
     conf = tmp_path / "sweep.ini"
     conf.write_text(conf_text(tmp_path / "out", f"""
@@ -220,7 +263,7 @@ def test_exit_code_config_error(tmp_path, capsys):
     "sweep.sigmas = nan", "query.t_values = 0.5, nan", "query.field_b0 = nan",
     "query.x = const:nan", "query.x = 0.4, inf", "query.x = 0.4",
     # lists a command cannot run, and a field kind it does not know
-    "query.alphas =", "sweep.s_values =", "sweep.fields =", "sweep.x_values =",
+    "query.alphas =", "query.t_values =", "sweep.s_values =", "sweep.fields =", "sweep.x_values =",
     "sweep.fields = sine, cubic", "problem.dim = 0",
     # every other rejection of a config file's values
     "query.shift = maybe", "no equals sign", "problem.dim = abc", "query.x = const:abc",

@@ -136,6 +136,9 @@ def test_em_series_prefix_identity(spec1, q_sine):
     assert single.value == series[0].value
     assert single.std_error == series[0].std_error
     assert series[0].meta["t"] == 0.5 and series[1].meta["t"] == 1.0
+    # two times on one step share its values (the second used to raise KeyError)
+    twin = em_benchmark_series(spec1, q_sine, [0.5, 0.5 + 1e-12], 2000, 1e-3, 9)
+    assert twin[0].value == twin[1].value == single.value
 
 
 def test_em_validation(spec1, q_sine):
@@ -346,6 +349,22 @@ def test_shift_not_covering_query_rejected(spec3, bank3):
         for estimate in (v0_estimate, lambda *a: v1_estimate(*a, 1e-2, 50)):
             with pytest.raises(ValueError, match="covers " + span):
                 estimate(bank3, spec3, shift, q)
+
+
+@pytest.mark.parametrize("h", [1.0, -0.5])
+@pytest.mark.parametrize("use_shift", [False, True])
+@pytest.mark.parametrize("s, t", [(0.0, 1.0), (0.2, 0.9)])
+def test_gradient_matches_constant_drift_oracle(det_bank_lam2, s, t, use_shift, h):
+    # v0 = g(m) with m = e^{-lam(t-s)} x (+ F_{s,t} with the shift), so its
+    # derivative along h is g'(m) e^{-lam(t-s)} h
+    q, shift = constant_drift_case(s, t, use_shift)
+    decay = math.exp(-LAM * (t - s))
+    m = decay * X + (C * (1.0 - decay) / LAM if use_shift else 0.0)
+    var = SIGMA ** 2 * (1.0 - decay ** 2) / (2.0 * LAM)
+    want = exit_derivative(1, m, var) * decay * h
+    est = ou_gradient(det_bank_lam2, LAM2, shift, q, np.array([h]))
+    assert est.n_samples == 30000 and est.meta["direction"] == f"const{h:g}"
+    assert abs(est.value - want) <= 4.0 * est.std_error, (est.value - want) / est.std_error
 
 
 def test_gradient_matches_exact_derivative(det_bank1, spec1):
@@ -632,6 +651,7 @@ def test_bin_weights_hold_no_subnormal():
 
 
 THREADS_SCRIPT = """
+import hashlib
 import numpy as np
 from levybank.bank import generate_bank
 from levybank.core import ProblemSpec, squared_eigenvalues
@@ -648,13 +668,17 @@ for fine, coarse, meshes in ((1e-3, 1e-2, (1e-2, 2e-2, 0.1)), (1e-4, 0.1, (0.1,)
         for est in (v1_estimate(bank, spec, None, q, mesh, 300, seed=3),
                     vn_estimate(bank, spec, None, q, 2, mesh, 300, seed=3)):
             print(est.value.hex(), est.std_error.hex())
+# checkpoint blocks of 10^4 fine steps: the bank's block variances are one long contraction
+bank = generate_bank(spec, 1e-5, 0.1, 6, 6, 7)
+print(hashlib.sha256(bank.record_checkpoints.tobytes()).hexdigest())
 """
 
 
 def test_iterates_independent_of_blas_threads():
     # Bins of k = 10, 20, 100 and 1000 fine steps; each product of (300, k)
     # increments by (k, 100) weights is large enough for OpenBLAS to split it
-    # over two threads, which must not move a bit.
+    # over two threads, which must not move a bit.  Nor may it move a bank's
+    # checkpoints, whose blocks here span 10^4 fine steps.
     def run(threads):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
                    PYTHONPATH=os.path.dirname(os.path.dirname(levybank.__file__)))
@@ -662,7 +686,7 @@ def test_iterates_independent_of_blas_threads():
                               capture_output=True, text=True, timeout=600).stdout
 
     one = run(1)
-    assert len(one.splitlines()) == 8
+    assert len(one.splitlines()) == 9
     assert run(2) == one
 
 
