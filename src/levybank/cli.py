@@ -113,7 +113,12 @@ def _solve_shift(cfg, field, s: float, x):
 def _bank_path(cfg, alpha: float, n_alphas: int) -> Path:
     if cfg.bank_path:
         if "{alpha" in cfg.bank_path:
-            return Path(cfg.bank_path.format(alpha=alpha))
+            try:
+                return Path(cfg.bank_path.format(alpha=alpha))
+            except (KeyError, IndexError, ValueError, AttributeError, TypeError) as exc:
+                raise ConfigError(f"bank.path {cfg.bank_path} does not format with "
+                                  f"alpha={alpha:g} ({type(exc).__name__}: {exc}); its "
+                                  "one brace field is {alpha}") from exc
         if n_alphas > 1:
             raise ConfigError("bank.path needs an {alpha} placeholder when "
                               "several alpha values are requested")

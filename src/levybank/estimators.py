@@ -77,7 +77,7 @@ import numpy as np
 from .bank import SimulationBank, covariance_integral
 from .core import GRID_RTOL, ProblemSpec, TimeGrid, contract, covariance_weights, phi1
 from .fields import VectorFieldSpec, eval_field
-from .flow import TimeShift, bin_forcings
+from .flow import TimeShift, bin_forcings, node_indices
 from .stable import sample_stable_increment
 from .streams import DOMAIN_BENCHMARK, DOMAIN_SELECTION, make_rng
 
@@ -246,9 +246,11 @@ def em_benchmark_series(spec: ProblemSpec, q: QueryParams, t_list, n_paths: int,
     size.  The BLAS thread count does not govern this thread.  A
     zero drift leaves this thread nothing to overlap with the draws, which then
     set the pace; the helper would only add GIL handoffs that make the run
-    time vary, so that field draws here, one step at a time.  The state is
-    updated in place: the drift sees a buffer that the step overwrites after
-    the call.
+    time vary, so that field draws here, one step at a time.  Under "exp" it
+    also makes no field call and adds no w*B: e1 x + (+0.0) differs from e1 x
+    only in the sign of a zero entry, so no norm or indicator moves.  The
+    state is updated in place: the drift sees a buffer that the step
+    overwrites after the call.
     """
     if method not in BENCHMARK_METHODS:
         raise ValueError(f"unknown benchmark method {method!r}")
@@ -271,11 +273,11 @@ def em_benchmark_series(spec: ProblemSpec, q: QueryParams, t_list, n_paths: int,
     rng = make_rng(seed, DOMAIN_BENCHMARK, 0)
     x_state = np.broadcast_to(q.x, (n_paths, spec.dim)).copy()
     scratch = np.empty_like(x_state)
-    overlap = q.field.kind != "zero"
-    per_chunk = max(1, EM_CHUNK_BYTES // x_state.nbytes) if overlap else 1
+    drifting = q.field.kind != "zero"
+    per_chunk = max(1, EM_CHUNK_BYTES // x_state.nbytes) if drifting else 1
     buffers = [np.empty((min(per_chunk, n_steps),) + x_state.shape) for _ in range(2)]
     out = dict.fromkeys(steps)   # step count -> indicators; times may share a step
-    with ThreadPoolExecutor(1) if overlap else _InlineDraws() as helper:
+    with ThreadPoolExecutor(1) if drifting else _InlineDraws() as helper:
         def draw(lo: int):
             chunk = buffers[lo // per_chunk % 2][:min(per_chunk, n_steps - lo)]
             return helper.submit(_em_noise, spec, d, rng, noise_w, chunk)
@@ -286,15 +288,18 @@ def em_benchmark_series(spec: ProblemSpec, q: QueryParams, t_list, n_paths: int,
             if lo + per_chunk < n_steps:
                 pending = draw(lo + per_chunk)
             for i, step_noise in enumerate(noise, lo):
-                drift = eval_field(q.field, q.s + i * d, x_state)
-                if method == "exp":   # ((e1 x) + (w B)) + noise
-                    np.multiply(drift_w, drift, out=scratch)
+                if method == "exp" and not drifting:   # (e1 x) + noise; w B = +0.0
                     np.multiply(e1, x_state, out=x_state)
-                else:                 # (x + d ((-lam x) + B)) + noise
-                    np.multiply(-lam, x_state, out=scratch)
-                    scratch += drift
-                    scratch *= d
-                x_state += scratch
+                else:
+                    drift = eval_field(q.field, q.s + i * d, x_state)
+                    if method == "exp":   # ((e1 x) + (w B)) + noise
+                        np.multiply(drift_w, drift, out=scratch)
+                        np.multiply(e1, x_state, out=x_state)
+                    else:                 # (x + d ((-lam x) + B)) + noise
+                        np.multiply(-lam, x_state, out=scratch)
+                        scratch += drift
+                        scratch *= d
+                    x_state += scratch
                 x_state += step_noise
                 if (i + 1) in out:
                     ind = (np.linalg.norm(x_state, axis=1) > q.radius).astype(float)
@@ -347,23 +352,13 @@ class _MeshFrame:
 
     def __init__(self, bank: SimulationBank, spec: ProblemSpec,
                  shift: Optional[TimeShift], q: QueryParams, mesh: float,
-                 order: int, n: int, seed: Optional[int]):
+                 order: int, n: int, nodes: tuple, selection: tuple):
         self.bank, self.q, self.shift, self.order = bank, q, shift, order
-        coarse = bank.coarse_grid
-        i_s, i_t = coarse.index_of(q.s), coarse.index_of(q.t)
-        stride_r = mesh / coarse.step
-        self.chk_stride = int(round(stride_r))
-        if self.chk_stride < 1 or abs(stride_r - self.chk_stride) > GRID_RTOL * stride_r:
-            raise ValueError(f"mesh {mesh} must be a multiple of the checkpoint step")
-        if (i_t - i_s) % self.chk_stride:
-            raise ValueError(f"mesh {mesh} must divide [s, t] = [{q.s}, {q.t}]")
-        self.h = mesh
-        self.J = J = (i_t - i_s) // self.chk_stride
-        if J < order:
-            raise ValueError(f"mesh too coarse: {J} nodes cannot host order {order}")
-        self.i_s_coarse = i_s
-        self.taus = q.s + mesh * np.arange(J + 1)
-        fine = bank.fine_grid
+        i_s, self.chk_stride, self.taus = nodes
+        self.i_s_coarse, self.h = i_s, mesh
+        self.J = J = len(self.taus) - 1
+        i_t = i_s + J * self.chk_stride
+        coarse, fine = bank.coarse_grid, bank.fine_grid
         self.k = k_fine = self.chk_stride * int(round(coarse.step / fine.step))
         self.lo = fine.index_of(q.s)
         self.diag = q.sigma_scale * spec.sigmas
@@ -389,8 +384,7 @@ class _MeshFrame:
                 self.F_from_s[b] = self.F_to_t[0]
                 if self.F is not None:
                     self.F[:b, b] = self.F_to_t[:b]
-        self.rec = _selection(seed, bank.m_ou, n, 1, which=0)[0]
-        subs = _selection(seed, bank.m_sub, n, order, which=1)
+        self.rec, subs = selection
         self.clock_rows = [(bank.sub_values, rows) for rows in subs] \
             + [(bank.record_clock_values, self.rec)]
         self.panel = (n, spec.dim)
@@ -602,11 +596,36 @@ def _split(J: int, order: int) -> int:
     return k
 
 
+def _mesh_nodes(bank: SimulationBank, q: QueryParams, mesh: float, order: int) -> tuple:
+    """(checkpoint index of s, checkpoint steps per mesh step, nodes tau_0..tau_J).
+
+    tau_j = s + j*mesh.  Raises unless the mesh is a whole number of
+    checkpoint steps that divides [s, t] into J >= order bins.
+    """
+    coarse = bank.coarse_grid
+    i_s, i_t = coarse.index_of(q.s), coarse.index_of(q.t)
+    stride_r = mesh / coarse.step
+    stride = int(round(stride_r))
+    if stride < 1 or abs(stride_r - stride) > GRID_RTOL * stride_r:
+        raise ValueError(f"mesh {mesh} must be a multiple of the checkpoint step")
+    if (i_t - i_s) % stride:
+        raise ValueError(f"mesh {mesh} must divide [s, t] = [{q.s}, {q.t}]")
+    J = (i_t - i_s) // stride
+    if J < order:
+        raise ValueError(f"mesh too coarse: {J} nodes cannot host order {order}")
+    return i_s, stride, q.s + mesh * np.arange(J + 1)
+
+
 def _iterate(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShift],
              q: QueryParams, order: int, mesh: float, n: int,
              seed: Optional[int]) -> IterateEstimate:
     """v^order as a left-Riemann sum over the mesh simplex, one walk for all orders.
 
+    Every check runs first, in the walk's order.  Then the built-in zero
+    field with no shift, or with a shift that is zero on [s, t], has drift
+    B = 0 at every node, so each of the walk's n samples is +0.0: they are
+    returned without walking, the walk's estimate bit for bit.  A zero field
+    under a nonzero shift walks, since its drift is -f.
     A helper thread walks the outer nodes below _split(J, order) in a walker
     of its own; its node sums are added after this thread's, in order.
     """
@@ -617,7 +636,17 @@ def _iterate(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShift]
     if n > bank.m_ou or order * n > bank.m_sub:
         raise ValueError(f"bank too small for order={order}, n={n} "
                          f"(m_ou={bank.m_ou}, m_sub={bank.m_sub})")
-    frame = _MeshFrame(bank, spec, _bank_query(bank, spec, shift, q), q, mesh, order, n, seed)
+    shift = _bank_query(bank, spec, shift, q)
+    nodes = _mesh_nodes(bank, q, mesh, order)
+    drifting = q.field.kind != "zero"
+    if shift is not None:   # bin_forcings' node check, before the selection as in the walk
+        idx = node_indices(shift, nodes[2])
+        drifting = drifting or shift.values[idx[0]:idx[-1] + 1].any()
+    selection = (_selection(seed, bank.m_ou, n, 1, which=0)[0],
+                 _selection(seed, bank.m_sub, n, order, which=1))
+    if not drifting:
+        return _estimate(np.zeros(n), order, q)
+    frame = _MeshFrame(bank, spec, shift, q, mesh, order, n, nodes, selection)
     J, k = frame.J, _split(frame.J, order)
     with ThreadPoolExecutor(1) as pool:   # starts its thread at the first submit
         low = pool.submit(lambda walker: list(_node_sums(walker, order, J, [], order - 1, k)),
@@ -678,6 +707,11 @@ def v1_estimate(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShi
     panels per walker, so the call's memory does not grow with the fine step.
     With its two walkers, tracemalloc reads a 63 MiB peak above the bank for
     4000 pairs in dimension 100.
+
+    The built-in zero field without a shift, or with a shift that is zero on
+    [s, t], has B = 0, so after the same checks it returns value 0.0 and se
+    0.0 on n_pairs samples without walking, the walk's answer bit for bit.
+    Under a nonzero shift its drift is -f, and it walks.
     """
     return _iterate(bank, spec, shift, q, 1, mesh, n_pairs, seed)
 
@@ -700,6 +734,10 @@ def vn_estimate(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShi
     (n_tuples, dim) and shared by its two walkers; each walker adds
     4B + 5*order panels.  At order 2, 100 tuples, dimension 100 and
     J = 50 that is 198 kept panels (16 MB) and 26 per walker (2.1 MB).
+
+    As in v1_estimate, the built-in zero field with no shift or a shift that
+    is zero on [s, t] returns 0.0 with se 0.0 after the checks, without
+    walking.
     """
     return _iterate(bank, spec, shift, q, order, mesh, n_tuples, seed)
 

@@ -49,7 +49,9 @@ def solve_flow(spec: ProblemSpec, field: VectorFieldSpec, s: float, x: np.ndarra
 
     Deterministic; the grid step must be <= 1e-3 and s a grid point in
     [0, horizon) before the grid's end.  The field sees the times of
-    grid.times(), and the shift's grid runs from s to grid.end.
+    grid.times(), and the shift's grid runs from s to grid.end.  The built-in
+    zero field is not integrated: after the argument checks its shift is all
+    +0.0, the bytes the steps would give, without a field call.
     """
     if grid.step > 1e-3 * (1.0 + 1e-12):
         raise ValueError(f"flow grid step must be <= 1e-3, got {grid.step}")
@@ -62,10 +64,12 @@ def solve_flow(spec: ProblemSpec, field: VectorFieldSpec, s: float, x: np.ndarra
         raise ValueError("x must be finite")
     i_s = grid.index_of(s)
     h = grid.step
+    # f(t_i) = B0(t_i, x(t_i)) is each step's first stage, then the end point
+    values = np.zeros((grid.n_steps - i_s + 1, spec.dim))
+    if field.kind == "zero":   # every stage is +0.0, so f is too: nothing to integrate
+        return TimeShift(grid=TimeGrid(s, grid.end, h), values=values)
     lam = spec.lambdas
     times = grid.times()
-    # f(t_i) = B0(t_i, x(t_i)) is each step's first stage, then the end point
-    values = np.empty((grid.n_steps - i_s + 1, spec.dim))
     e_full = np.exp(-lam * h)
     e_half = np.exp(-lam * (0.5 * h))
     # products evaluate left to right, so the hoisted factors and the shared
@@ -83,6 +87,16 @@ def solve_flow(spec: ProblemSpec, field: VectorFieldSpec, s: float, x: np.ndarra
     return TimeShift(grid=TimeGrid(s, grid.end, h), values=values)
 
 
+def node_indices(shift: TimeShift, nodes) -> list:
+    """The shift-grid indices of nodes: strictly increasing, evenly spaced grid points."""
+    idx = [shift.grid.index_of(t) for t in nodes]
+    width = idx[1] - idx[0] if len(idx) > 1 else 0
+    if width < 1 or np.any(np.diff(idx) != width):
+        raise ValueError("nodes must be strictly increasing, evenly spaced points "
+                         f"of the shift's grid, got {np.asarray(nodes, dtype=float)}")
+    return idx
+
+
 def bin_forcings(spec: ProblemSpec, shift: TimeShift, nodes) -> np.ndarray:
     """Row b is F_{u,v} = int_u^v e^{(v-r)A} f(r) dr for u, v = nodes[b], nodes[b+1].
 
@@ -91,11 +105,8 @@ def bin_forcings(spec: ProblemSpec, shift: TimeShift, nodes) -> np.ndarray:
     must be strictly increasing, evenly spaced points of the shift's grid, so
     every row shares one decay table; nodes [s, t] give F_{s,t} alone.
     """
-    idx = [shift.grid.index_of(t) for t in nodes]
-    width = idx[1] - idx[0] if len(idx) > 1 else 0
-    if width < 1 or np.any(np.diff(idx) != width):
-        raise ValueError("nodes must be strictly increasing, evenly spaced points "
-                         f"of the shift's grid, got {np.asarray(nodes, dtype=float)}")
+    idx = node_indices(shift, nodes)
+    width = idx[1] - idx[0]
     d = shift.grid.step
     lam = spec.lambdas
     # exponent for bin with left edge r_i: -lambda*(v - r_i - d) = -lambda*d*age,

@@ -154,6 +154,18 @@ def test_bank_path_needs_placeholder_for_several_alphas(tmp_path, capsys):
     assert not (tmp_path / "b.lvib").exists()
 
 
+@pytest.mark.parametrize("name", ["b{alpha}{x}.lvib", "b{alpha}{0}.lvib", "b{alpha:q}.lvib",
+                                  "b{alpha.x}.lvib", "b{alpha[0]}.lvib", "b{alpha}}.lvib"])
+def test_bank_path_bad_placeholder(tmp_path, capsys, name):
+    # each used to escape as a KeyError, IndexError, ValueError, AttributeError
+    # or TypeError traceback from str.format (exit 1)
+    conf = write_conf(tmp_path, f"bank.path = {tmp_path}/{name}\n")
+    for command in (["table", "--table", "1"], ["bank"]):
+        assert cli.main([*command, "--config", str(conf)]) == 2
+        assert "bank.path" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [conf]
+
+
 def test_sweep_needs_a_bank(tmp_path, capsys):
     conf = write_conf(tmp_path)
     assert cli.main(["sweep", "--config", str(conf)]) == 2

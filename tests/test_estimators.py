@@ -334,21 +334,24 @@ def shifted_query(s: float) -> QueryParams:
 
 def test_shift_of_another_dim_rejected(spec1, spec3, bank3):
     # solved for a dim-1 problem, it would broadcast into the dim-3 query
-    shift = solve_flow(spec1, sine_field(), 0.0, np.array([0.4]), TimeGrid(0.0, 1.0, 1e-3))
-    for estimate in (v0_estimate, lambda *a: v1_estimate(*a, 1e-2, 50)):
-        with pytest.raises(ValueError, match=r"shape \(\., 3\)"):
-            estimate(bank3, spec3, shift, shifted_query(0.0))
+    for field in (sine_field(), zero_field()):
+        shift = solve_flow(spec1, field, 0.0, np.array([0.4]), TimeGrid(0.0, 1.0, 1e-3))
+        q = replace(shifted_query(0.0), field=field)
+        for estimate in (v0_estimate, lambda *a: v1_estimate(*a, 1e-2, 50)):
+            with pytest.raises(ValueError, match=r"shape \(\., 3\)"):
+                estimate(bank3, spec3, shift, q)
 
 
 def test_shift_not_covering_query_rejected(spec3, bank3):
     # one shift starts after the query's s, the other ends before its t
-    q = shifted_query(0.2)
-    late = solve_flow(spec3, sine_field(), 0.5, q.x, TimeGrid(0.0, 1.0, 1e-3))
-    short = solve_flow(spec3, sine_field(), 0.2, q.x, TimeGrid(0.0, 0.5, 1e-3))
-    for shift, span in ((late, r"\[0\.5, 1\.0\]"), (short, r"\[0\.2, 0\.5\]")):
-        for estimate in (v0_estimate, lambda *a: v1_estimate(*a, 1e-2, 50)):
-            with pytest.raises(ValueError, match="covers " + span):
-                estimate(bank3, spec3, shift, q)
+    for field in (sine_field(), zero_field()):
+        q = replace(shifted_query(0.2), field=field)
+        late = solve_flow(spec3, field, 0.5, q.x, TimeGrid(0.0, 1.0, 1e-3))
+        short = solve_flow(spec3, field, 0.2, q.x, TimeGrid(0.0, 0.5, 1e-3))
+        for shift, span in ((late, r"\[0\.5, 1\.0\]"), (short, r"\[0\.2, 0\.5\]")):
+            for estimate in (v0_estimate, lambda *a: v1_estimate(*a, 1e-2, 50)):
+                with pytest.raises(ValueError, match="covers " + span):
+                    estimate(bank3, spec3, shift, q)
 
 
 @pytest.mark.parametrize("h", [1.0, -0.5])
@@ -389,6 +392,33 @@ def test_zero_field_iterates_vanish(bank1, spec1):
     assert v1.value == 0.0 and v1.std_error == 0.0
     v2 = vn_estimate(bank1, spec1, None, q, 2, 2e-2, 500)
     assert v2.value == 0.0 and v2.std_error == 0.0
+
+
+@pytest.mark.parametrize("order, mesh", [(1, 0.1), (2, 0.1)])
+def test_zero_field_skips_the_walk_with_its_answer(spec3, bank3, monkeypatch, order, mesh):
+    # A custom field returning zeros walks; the zero kind must give its
+    # answer without walking when B = 0 (no shift, or a zero shift), and walk
+    # under the sine flow's shift, where its drift is -f.
+    zeros = custom_field(lambda t, x: np.zeros_like(x), 1.0)
+    sine_shift, q = split_query(spec3, zero_field())
+    zero_shift = solve_flow(spec3, zeros, 0.0, q.x, TimeGrid(0.0, 1.0, 1e-3))
+
+    def walked(*args):
+        raise Planted("walked")
+
+    for shift in (None, zero_shift, sine_shift):
+        on = replace(q, use_shift=shift is not None)
+        for seed in (None, 5):
+            want = iterate(bank3, spec3, shift, replace(on, field=zeros), order, mesh, seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(estimators, "_node_sums", walked)
+                if shift is sine_shift:
+                    with pytest.raises(Planted):
+                        iterate(bank3, spec3, shift, on, order, mesh, seed)
+                else:
+                    assert iterate(bank3, spec3, shift, on, order, mesh, seed) == want
+                    assert want[:2] == ((0.0).hex(), (0.0).hex())
+            assert iterate(bank3, spec3, shift, on, order, mesh, seed) == want
 
 
 def test_vn_order1_equals_v1(bank1, spec1, q_sine):
@@ -448,11 +478,12 @@ def split_query(spec, field, use_shift=True):
 
 
 def iterate(bank, spec, shift, q, order, mesh, seed=None):
+    """An iterate's value and se as hex (so -0.0 differs from 0.0), n and order."""
     if order == 1:
         est = v1_estimate(bank, spec, shift, q, mesh, 60, seed=seed)
     else:
         est = vn_estimate(bank, spec, shift, q, order, mesh, 60, seed=seed)
-    return est.value, est.std_error
+    return est.value.hex(), est.std_error.hex(), est.n_samples, est.order
 
 
 def test_split_halves_the_leaves():
@@ -642,7 +673,9 @@ def test_bin_weights_hold_no_subnormal():
     bank = generate_bank(spec, 1e-3, 1e-2, 2, 2, 5)
     q = QueryParams(s=0.0, t=1.0, x=np.zeros(2), sigma_scale=0.7, radius=1.0,
                     field=sine_field(), use_shift=False)
-    frame = estimators._MeshFrame(bank, spec, None, q, 0.1, 1, 2, None)
+    frame = estimators._MeshFrame(bank, spec, None, q, 0.1, 1, 2,
+                                  estimators._mesh_nodes(bank, q, 0.1, 1),
+                                  (slice(0, 2), [slice(0, 2)]))
     raw = covariance_weights(spec.lambdas, 1e-3, 100) * (0.7 * spec.sigmas) ** 2
     tiny = np.finfo(float).tiny
     assert np.any((raw > 0.0) & (raw < tiny))
@@ -691,25 +724,29 @@ def test_iterates_independent_of_blas_threads():
 
 
 def test_mesh_validation(bank1, spec1, q_sine):
-    with pytest.raises(ValueError, match="mesh"):
-        v1_estimate(bank1, spec1, None, q_sine, 0.015, 100)
-    q_short = QueryParams(s=0.0, t=0.05, x=np.array([0.4]), sigma_scale=0.5,
-                          radius=1.0, field=sine_field(), use_shift=False)
-    with pytest.raises(ValueError, match="mesh"):
-        v1_estimate(bank1, spec1, None, q_short, 0.02, 100)
-    with pytest.raises(ValueError):
-        v1_estimate(bank1, spec1, None, q_sine, 1e-2, 100000)
-    with pytest.raises(ValueError):
-        v1_estimate(bank1, spec1, None, q_sine, 1e-2, 1)
+    for field in (sine_field(), zero_field()):
+        q = replace(q_sine, field=field)
+        with pytest.raises(ValueError, match="mesh"):
+            v1_estimate(bank1, spec1, None, q, 0.015, 100)
+        q_short = QueryParams(s=0.0, t=0.05, x=np.array([0.4]), sigma_scale=0.5,
+                              radius=1.0, field=field, use_shift=False)
+        with pytest.raises(ValueError, match="mesh"):
+            v1_estimate(bank1, spec1, None, q_short, 0.02, 100)
+        with pytest.raises(ValueError):
+            v1_estimate(bank1, spec1, None, q, 1e-2, 100000)
+        with pytest.raises(ValueError):
+            v1_estimate(bank1, spec1, None, q, 1e-2, 1)
 
 
 def test_vn_validation(bank1, spec1, q_sine):
-    with pytest.raises(ValueError, match="order"):
-        vn_estimate(bank1, spec1, None, q_sine, 0, 1e-2, 100)
-    with pytest.raises(ValueError, match="mesh too coarse"):
-        vn_estimate(bank1, spec1, None, q_sine, 3, 0.5, 100)
-    with pytest.raises(ValueError, match="too small"):
-        vn_estimate(bank1, spec1, None, q_sine, 2, 1e-2, 3000)
+    for field in (sine_field(), zero_field()):
+        q = replace(q_sine, field=field)
+        with pytest.raises(ValueError, match="order"):
+            vn_estimate(bank1, spec1, None, q, 0, 1e-2, 100)
+        with pytest.raises(ValueError, match="mesh too coarse"):
+            vn_estimate(bank1, spec1, None, q, 3, 0.5, 100)
+        with pytest.raises(ValueError, match="too small"):
+            vn_estimate(bank1, spec1, None, q, 2, 1e-2, 3000)
 
 
 # ---------------------------------------------------------------------------

@@ -159,16 +159,31 @@ def test_shift_holds_only_f_from_s():
 
 def test_solve_flow_validation():
     spec = make_spec([1.0])
-    with pytest.raises(ValueError):
-        solve_flow(spec, sine_field(), 0.0, np.array([1.0]),
-                   TimeGrid(0.0, 1.0, 2e-3))  # step too coarse for tabulation
-    with pytest.raises(ValueError):
-        solve_flow(spec, sine_field(), 0.12345, np.array([1.0]), GRID)
-    with pytest.raises(ValueError, match="grid's end"):
-        solve_flow(make_spec([1.0], horizon=2.0), sine_field(), 1.0, np.array([1.0]), GRID)
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="finite"):
-            solve_flow(spec, sine_field(), 0.0, np.array([bad]), GRID)
+    for field in (sine_field(), zero_field()):
+        with pytest.raises(ValueError, match="step"):
+            solve_flow(spec, field, 0.0, np.array([1.0]),
+                       TimeGrid(0.0, 1.0, 2e-3))  # step too coarse for tabulation
+        with pytest.raises(ValueError):
+            solve_flow(spec, field, 0.12345, np.array([1.0]), GRID)
+        with pytest.raises(ValueError, match="grid's end"):
+            solve_flow(make_spec([1.0], horizon=2.0), field, 1.0, np.array([1.0]), GRID)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                solve_flow(spec, field, 0.0, np.array([bad]), GRID)
+        with pytest.raises(ValueError, match="length"):
+            solve_flow(spec, field, 0.0, np.ones(2), GRID)
+
+
+def test_zero_field_shift_is_the_steps_zeros():
+    # the zero kind is not integrated; a zeros hook is, to the same bytes
+    spec = make_spec([1.0, 100.0, 1e4])
+    zeros = custom_field(lambda t, x: np.zeros_like(x), bound=1.0)
+    for s, grid in ((0.0, GRID), (0.25, GRID), (0.5, TimeGrid(0.0, 0.8, 5e-4))):
+        got = solve_flow(spec, zero_field(), s, np.array([0.5, -2.0, 3.0]), grid)
+        want = solve_flow(spec, zeros, s, np.array([0.5, -2.0, 3.0]), grid)
+        assert got.grid == want.grid
+        assert got.values.dtype == want.values.dtype
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_bin_forcings_constant_shift():
