@@ -61,11 +61,15 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _write_csv(path: Path, header: list, rows: list) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+def _write_csv(cfg, name: str, header: list, rows: list) -> None:
+    """Write name under cfg.out_dir, making the directory, and print its path."""
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / name, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+    print(out / name)
 
 
 def _check_numbers(label: str, *estimates) -> None:
@@ -234,13 +238,9 @@ def cmd_table(cfg, args) -> int:
         _status(f"table {args.table} alpha={alpha:g}: P={bench.value:.4f} "
                 f"eps={['%.3g' % p.eps_rel for p in sums]} "
                 f"({time.perf_counter() - t0:.1f}s)")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / f"table{args.table}.csv", header, rows)
-    _write_csv(out / f"table{args.table}_se.csv",
+    _write_csv(cfg, f"table{args.table}.csv", header, rows)
+    _write_csv(cfg, f"table{args.table}_se.csv",
                [header[0]] + [c + "_se" for c in header[1:]], se_rows)
-    print(out / f"table{args.table}.csv")
-    print(out / f"table{args.table}_se.csv")
     return 0
 
 
@@ -258,10 +258,7 @@ def cmd_figure(cfg, args) -> int:
     x = parse_x(cfg.x, cfg.dim)
     field = _make_field(cfg, field_kind)
     shift = None
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     header = ["t", "P", "v0", "v0_plus_v1", "abs_eps0", "abs_eps1"]
-    written = []
     n_distinct = len({curve[0] for curve in curves})
     for alpha, sigma, use_shift in curves:
         spec = _make_spec(cfg, alpha)
@@ -281,12 +278,8 @@ def cmd_figure(cfg, args) -> int:
             rows.append([t_val, b_est.value, s0.partial_sum, s1.partial_sum,
                          abs(s0.eps_rel), abs(s1.eps_rel)])
         tag = f"alpha{alpha:g}_sigma{sigma:g}_" + ("shift" if use_shift else "noshift")
-        path = out / f"figure{args.figure}_{tag}.csv"
-        _write_csv(path, header, rows)
-        written.append(path)
+        _write_csv(cfg, f"figure{args.figure}_{tag}.csv", header, rows)
         _status(f"figure {args.figure} curve {tag} done")
-    for path in written:
-        print(path)
     return 0
 
 
@@ -328,13 +321,9 @@ def cmd_sweep(cfg, args) -> int:
                         _status(f"sweep row {key} invalid: {exc}")
                         rows.append(key + ["invalid", "nan", "nan", "nan", "nan"])
                     timing_rows.append(key + [(time.perf_counter() - t0) * 1e3])
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "sweep.csv", header, rows)
-    _write_csv(out / "sweep_timing.csv", header[:6] + ["wall_ms"], timing_rows)
+    _write_csv(cfg, "sweep.csv", header, rows)
+    _write_csv(cfg, "sweep_timing.csv", header[:6] + ["wall_ms"], timing_rows)
     _status(f"sweep: {sum(row[6] == 'ok' for row in rows)}/{len(rows)} rows ok")
-    print(out / "sweep.csv")
-    print(out / "sweep_timing.csv")
     return 0
 
 
@@ -363,12 +352,8 @@ def cmd_validate(cfg, args) -> int:
     want = covariance_deterministic_clock(spec, 0.0, cfg.horizon)
     cov_err = float(np.max(np.abs(got - want) / want))
     print(f"covariance deterministic-clock max rel err: {cov_err:.3e} (tol 1e-10)")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "validate.csv",
-               ["alpha", "lam", "empirical", "analytic", "std_error", "flagged"],
-               rows)
-    print(out / "validate.csv")
+    _write_csv(cfg, "validate.csv",
+               ["alpha", "lam", "empirical", "analytic", "std_error", "flagged"], rows)
     if n_flagged or cov_err > 1e-10:
         raise _NumericalFailure(
             f"validation failed: {n_flagged} sampler rows flagged, "
@@ -408,6 +393,10 @@ def _build_parser() -> argparse.ArgumentParser:
 _DISPATCH = {"bank": cmd_bank, "table": cmd_table, "figure": cmd_figure,
              "sweep": cmd_sweep, "validate": cmd_validate}
 
+# the first type an error is an instance of names its exit code; OSError comes
+# before ValueError, since io.UnsupportedOperation is both
+_EXIT_CODES = {_BankFileError: 3, OSError: 3, _NumericalFailure: 4, ValueError: 2}
+
 
 def main(argv=None) -> int:
     # One BLAS thread, before any command loads numpy: BLAS worker threads
@@ -423,21 +412,9 @@ def main(argv=None) -> int:
                            bank_seed=args.seed, bank_path=args.bank,
                            out_dir=args.out)
         return _DISPATCH[args.command](cfg, args)
-    except ConfigError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _BankFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except _NumericalFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -10,7 +10,9 @@ Format, one `section.key = value` pair per line:
 
 Precedence, lowest to highest: desk defaults, profile overrides, config file,
 command-line flags.  Unknown keys are rejected.  Lists are comma-separated.
-The full schema is the KEYS table below; README documents each key.
+The full schema is the ExperimentConfig class below: each field names its
+config key and parser through _key, and KEYS is derived from the fields.
+README documents each key.
 """
 
 from __future__ import annotations
@@ -22,64 +24,6 @@ from typing import Optional
 
 class ConfigError(ValueError):
     """Invalid configuration file or option combination."""
-
-
-@dataclass
-class ExperimentConfig:
-    # problem.*  (sqrt(Q) is the identity at bank level; sigma scales queries)
-    alpha: float = 0.75
-    gamma_bar: float = 1.0
-    dim: int = 100
-    horizon: float = 1.0
-    # bank.*
-    m_sub: int = 10000
-    m_ou: int = 10000
-    delta_fine: float = 1e-3
-    delta_coarse: float = 1e-2
-    bank_seed: int = 2024
-    bank_path: Optional[str] = None
-    precision: int = 8
-    # query.*
-    alphas: list = field(default_factory=lambda: [0.55, 0.65, 0.75, 0.85])
-    sigmas: list = field(default_factory=lambda: [1.0])
-    t_values: Optional[list] = None
-    s: float = 0.0
-    radius: float = 1.0
-    x: str = "ones"
-    field_kind: str = "sine"
-    field_b0: float = 2.0
-    field_ybar: float = 2.0
-    field_sharpness: float = 1e4
-    use_shift: bool = True
-    # estimator.*
-    mesh: float = 1e-2
-    n_pairs: int = 10000
-    n_tuples: int = 5000
-    orders: list = field(default_factory=lambda: [0, 1])
-    benchmark_paths: int = 10000
-    delta_em: float = 1e-3
-    benchmark_method: str = "exp"
-    sample_seed: Optional[int] = None
-    # sweep.*
-    sweep_s_values: list = field(default_factory=lambda: [0.0])
-    sweep_sigmas: list = field(default_factory=lambda: [0.5, 0.7, 1.0, 1.3])
-    sweep_fields: list = field(default_factory=lambda: ["sine"])
-    sweep_x_values: list = field(default_factory=lambda: ["ones"])
-    # output.*
-    out_dir: str = "."
-    profile: str = "desk"
-    # attributes assigned by the config file or CLI flags (not a config key);
-    # lets table/figure presets defer to explicit user choices
-    explicit: frozenset = frozenset()
-
-
-_PAPER_OVERRIDES = {
-    "m_sub": 100000, "m_ou": 100000, "delta_fine": 1e-4,
-    "n_pairs": 100000, "benchmark_paths": 100000, "delta_em": 1e-4,
-    "benchmark_method": "euler",
-}
-
-_PROFILES = {"desk": {}, "paper": _PAPER_OVERRIDES}
 
 
 def _to_bool(raw: str) -> bool:
@@ -103,45 +47,74 @@ def _to_str_list(raw: str) -> list:
     return [tok.strip() for tok in raw.split(",") if tok.strip()]
 
 
+def _key(key: str, parser, default):
+    """A field that config key `key` sets through `parser`; a list default is copied."""
+    meta = {"key": key, "parser": parser}
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+@dataclass
+class ExperimentConfig:
+    # problem.*  (sqrt(Q) is the identity at bank level; sigma scales queries)
+    alpha: float = _key("problem.alpha", float, 0.75)
+    gamma_bar: float = _key("problem.gamma_bar", float, 1.0)
+    dim: int = _key("problem.dim", int, 100)
+    horizon: float = _key("problem.horizon", float, 1.0)
+    # bank.*
+    m_sub: int = _key("bank.m_sub", int, 10000)
+    m_ou: int = _key("bank.m_ou", int, 10000)
+    delta_fine: float = _key("bank.delta_fine", float, 1e-3)
+    delta_coarse: float = _key("bank.delta_coarse", float, 1e-2)
+    bank_seed: int = _key("bank.seed", int, 2024)
+    bank_path: Optional[str] = _key("bank.path", str.strip, None)
+    precision: int = _key("bank.precision", int, 8)
+    # query.*
+    alphas: list = _key("query.alphas", _to_float_list, [0.55, 0.65, 0.75, 0.85])
+    sigmas: list = _key("query.sigmas", _to_float_list, [1.0])
+    t_values: Optional[list] = _key("query.t_values", _to_float_list, None)
+    s: float = _key("query.s", float, 0.0)
+    radius: float = _key("query.radius", float, 1.0)
+    x: str = _key("query.x", str.strip, "ones")
+    field_kind: str = _key("query.field", str.strip, "sine")
+    field_b0: float = _key("query.field_b0", float, 2.0)
+    field_ybar: float = _key("query.field_ybar", float, 2.0)
+    field_sharpness: float = _key("query.field_sharpness", float, 1e4)
+    use_shift: bool = _key("query.shift", _to_bool, True)
+    # estimator.*
+    mesh: float = _key("estimator.mesh", float, 1e-2)
+    n_pairs: int = _key("estimator.n_pairs", int, 10000)
+    n_tuples: int = _key("estimator.n_tuples", int, 5000)
+    orders: list = _key("estimator.orders", _to_int_list, [0, 1])
+    benchmark_paths: int = _key("estimator.benchmark_paths", int, 10000)
+    delta_em: float = _key("estimator.delta_em", float, 1e-3)
+    benchmark_method: str = _key("estimator.benchmark_method", str.strip, "exp")
+    sample_seed: Optional[int] = _key("estimator.sample_seed", int, None)
+    # sweep.*
+    sweep_s_values: list = _key("sweep.s_values", _to_float_list, [0.0])
+    sweep_sigmas: list = _key("sweep.sigmas", _to_float_list, [0.5, 0.7, 1.0, 1.3])
+    sweep_fields: list = _key("sweep.fields", _to_str_list, ["sine"])
+    sweep_x_values: list = _key("sweep.x_values", _to_str_list, ["ones"])
+    # output.*
+    out_dir: str = _key("output.dir", str.strip, ".")
+    profile: str = _key("profile", str.strip, "desk")
+    # attributes assigned by the config file or CLI flags (not a config key);
+    # lets table/figure presets defer to explicit user choices
+    explicit: frozenset = frozenset()
+
+
 # config key -> (ExperimentConfig attribute, parser)
-KEYS = {
-    "profile": ("profile", str.strip),
-    "problem.alpha": ("alpha", float),
-    "problem.gamma_bar": ("gamma_bar", float),
-    "problem.dim": ("dim", int),
-    "problem.horizon": ("horizon", float),
-    "bank.m_sub": ("m_sub", int),
-    "bank.m_ou": ("m_ou", int),
-    "bank.delta_fine": ("delta_fine", float),
-    "bank.delta_coarse": ("delta_coarse", float),
-    "bank.seed": ("bank_seed", int),
-    "bank.path": ("bank_path", str.strip),
-    "bank.precision": ("precision", int),
-    "query.alphas": ("alphas", _to_float_list),
-    "query.sigmas": ("sigmas", _to_float_list),
-    "query.t_values": ("t_values", _to_float_list),
-    "query.s": ("s", float),
-    "query.radius": ("radius", float),
-    "query.x": ("x", str.strip),
-    "query.field": ("field_kind", str.strip),
-    "query.field_b0": ("field_b0", float),
-    "query.field_ybar": ("field_ybar", float),
-    "query.field_sharpness": ("field_sharpness", float),
-    "query.shift": ("use_shift", _to_bool),
-    "estimator.mesh": ("mesh", float),
-    "estimator.n_pairs": ("n_pairs", int),
-    "estimator.n_tuples": ("n_tuples", int),
-    "estimator.orders": ("orders", _to_int_list),
-    "estimator.benchmark_paths": ("benchmark_paths", int),
-    "estimator.delta_em": ("delta_em", float),
-    "estimator.benchmark_method": ("benchmark_method", str.strip),
-    "estimator.sample_seed": ("sample_seed", int),
-    "sweep.s_values": ("sweep_s_values", _to_float_list),
-    "sweep.sigmas": ("sweep_sigmas", _to_float_list),
-    "sweep.fields": ("sweep_fields", _to_str_list),
-    "sweep.x_values": ("sweep_x_values", _to_str_list),
-    "output.dir": ("out_dir", str.strip),
+KEYS = {f.metadata["key"]: (f.name, f.metadata["parser"])
+        for f in fields(ExperimentConfig) if f.metadata}
+
+_PAPER_OVERRIDES = {
+    "m_sub": 100000, "m_ou": 100000, "delta_fine": 1e-4,
+    "n_pairs": 100000, "benchmark_paths": 100000, "delta_em": 1e-4,
+    "benchmark_method": "euler",
 }
+
+_PROFILES = {"desk": {}, "paper": _PAPER_OVERRIDES}
 
 
 def parse_config_file(path: str) -> dict:
@@ -201,6 +174,10 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     for name, val in (("bank.m_sub", cfg.m_sub), ("bank.m_ou", cfg.m_ou)):
         if val < 0:
             raise ConfigError(f"{name} must be nonnegative, got {val}")
+    for name, val in (("estimator.n_pairs", cfg.n_pairs), ("estimator.n_tuples", cfg.n_tuples),
+                      ("estimator.benchmark_paths", cfg.benchmark_paths)):
+        if val < 2:
+            raise ConfigError(f"{name} must be at least 2, got {val}")
     for name, vals in (("problem.alpha", [cfg.alpha]), ("query.alphas", cfg.alphas)):
         if not vals or not all(0.5 < a < 1.0 for a in vals):
             raise ConfigError(f"{name} must be values in (1/2, 1), got {vals}")
@@ -221,6 +198,10 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.benchmark_method not in ("exp", "euler"):
         raise ConfigError(f"estimator.benchmark_method must be exp or euler, "
                           f"got {cfg.benchmark_method!r}")
+    if cfg.benchmark_method == "euler" and cfg.dim ** 2 * cfg.delta_em > 2:
+        # the CLI's spectrum is lambda_k = k^2; the explicit scheme diverges past 2
+        raise ConfigError(f"estimator.benchmark_method = euler needs problem.dim^2 * "
+                          f"estimator.delta_em <= 2, got {cfg.dim ** 2 * cfg.delta_em:g}")
     for name, kinds in (("query.field", [cfg.field_kind]), ("sweep.fields", cfg.sweep_fields)):
         if not kinds or not set(kinds) <= {"sine", "bc", "zero"}:
             raise ConfigError(f"{name} must name sine, bc or zero, got {kinds}")

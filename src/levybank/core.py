@@ -38,11 +38,11 @@ class ProblemSpec:
     """Full problem configuration.
 
     alpha      stability index of the subordinator, in (1/2, 1)
-    gamma_bar  subordinator scale, > 0
+    gamma_bar  subordinator scale, finite and > 0
     dim        state dimension N
-    lambdas    ascending positive eigenvalues of -A, length N
-    sigmas     positive diagonal of sqrt(Q), length N
-    horizon    terminal time T > 0
+    lambdas    ascending positive finite eigenvalues of -A, length N
+    sigmas     positive finite diagonal of sqrt(Q), length N
+    horizon    terminal time T, finite and > 0
     """
 
     alpha: float
@@ -73,6 +73,11 @@ class ProblemSpec:
             raise ValueError("all sigmas must be positive")
         if self.horizon <= 0.0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
+        for name, val in (("gamma_bar", self.gamma_bar), ("horizon", self.horizon)):
+            if not math.isfinite(val):
+                raise ValueError(f"{name} must be finite, got {val}")
+        if not (np.all(np.isfinite(lambdas)) and np.all(np.isfinite(sigmas))):
+            raise ValueError("all lambdas and sigmas must be finite")
 
     def content_hash(self) -> bytes:
         """SHA-256 over the exact float bit patterns of all fields.

@@ -66,9 +66,9 @@ from __future__ import annotations
 
 import copy
 import math
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
-from functools import reduce
+from functools import partial, reduce
 from operator import add
 from typing import Optional
 
@@ -196,21 +196,6 @@ def _selection(seed: Optional[int], m_avail: int, n: int, groups: int,
 # Euler-Maruyama benchmark
 
 
-class _InlineDraws:
-    """Stands in for the helper thread: runs each submitted call at once."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return None
-
-    def submit(self, fn, *args) -> Future:
-        done = Future()
-        done.set_result(fn(*args))
-        return done
-
-
 def _em_noise(spec: ProblemSpec, d: float, rng: np.random.Generator,
               weight: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill out[k] with step k's noise (weight sqrt(dL)) xi, drawing dL then xi per step."""
@@ -236,7 +221,8 @@ def em_benchmark_series(spec: ProblemSpec, q: QueryParams, t_list, n_paths: int,
     the conditional noise variance dL*(1-e^{-2 lambda d})/(2 lambda d); it is
     stable for any lambda*delta.  method "euler" is the plain explicit scheme
     X += (AX + B0) d + sigma sqrt(dL) xi, for replicating runs with
-    lambda*delta <= 1; it diverges when lambda*delta > 2.
+    lambda*delta <= 1; it diverges past lambda*delta = 2, so it raises
+    ValueError when the largest lambda times delta_em exceeds 2.
 
     The draws never depend on the state, so one helper thread owns the
     generator and draws the noise of the next chunk of steps (about
@@ -262,6 +248,9 @@ def em_benchmark_series(spec: ProblemSpec, q: QueryParams, t_list, n_paths: int,
     t_list = [float(t) for t in t_list]
     if not t_list or any(t <= q.s or t > spec.horizon * (1 + GRID_RTOL) for t in t_list):
         raise ValueError("benchmark times must lie in (s, horizon]")
+    if method == "euler" and spec.lambdas[-1] * delta_em > 2:
+        raise ValueError(f"method 'euler' diverges when lambda*delta > 2, "
+                         f"got {spec.lambdas[-1] * delta_em:g}")
     steps = [TimeGrid(q.s, t, delta_em).n_steps for t in t_list]
     n_steps = max(steps)
     lam, d = spec.lambdas, delta_em
@@ -277,14 +266,15 @@ def em_benchmark_series(spec: ProblemSpec, q: QueryParams, t_list, n_paths: int,
     per_chunk = max(1, EM_CHUNK_BYTES // x_state.nbytes) if drifting else 1
     buffers = [np.empty((min(per_chunk, n_steps),) + x_state.shape) for _ in range(2)]
     out = dict.fromkeys(steps)   # step count -> indicators; times may share a step
-    with ThreadPoolExecutor(1) if drifting else _InlineDraws() as helper:
-        def draw(lo: int):
+    with ThreadPoolExecutor(1) as helper:   # starts its thread at the first submit
+        def draw(lo: int):   # a call that returns the noise of the steps from lo on
             chunk = buffers[lo // per_chunk % 2][:min(per_chunk, n_steps - lo)]
-            return helper.submit(_em_noise, spec, d, rng, noise_w, chunk)
+            job = partial(_em_noise, spec, d, rng, noise_w, chunk)
+            return helper.submit(job).result if drifting else job
 
         pending = draw(0)
         for lo in range(0, n_steps, per_chunk):
-            noise = pending.result()
+            noise = pending()
             if lo + per_chunk < n_steps:
                 pending = draw(lo + per_chunk)
             for i, step_noise in enumerate(noise, lo):

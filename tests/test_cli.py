@@ -15,9 +15,12 @@ import pytest
 import levybank.bank
 import levybank.estimators
 import levybank.flow
+import levybank.stable
 from levybank import cli
 from levybank.bank import load_bank
+from levybank.config import build_config
 from levybank.estimators import IterateEstimate
+from levybank.stable import laplace_exponent
 
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 HEADER_FMT = "<4sI32sdddIQQQB11x"
@@ -282,6 +285,9 @@ def test_exit_code_config_error(tmp_path, capsys):
     "profile = bogus", "problem.alpha = 0.5", "estimator.mesh = 0", "bank.m_ou = -1",
     "bank.precision = 2", "estimator.benchmark_method = rk4", "query.field = cubic",
     "estimator.orders = 0, 2", "bank.seed = -1", "query.s = -0.1",
+    # sample counts the estimators refuse, found only after a bank was made
+    "estimator.n_pairs = 1", "estimator.n_pairs = 0", "estimator.n_pairs = -3",
+    "estimator.n_tuples = 1", "estimator.benchmark_paths = 1",
 ])
 def test_exit_code_non_finite_config_value(tmp_path, capsys, line):
     # NaN passed the positivity checks, and sigmas and x were not checked;
@@ -291,6 +297,39 @@ def test_exit_code_non_finite_config_value(tmp_path, capsys, line):
     err = capsys.readouterr().err
     assert err.startswith("error:") and line.split(" =")[0] in err
     assert not (tmp_path / "out").exists()
+
+
+def test_exit_code_unstable_euler_step(tmp_path, capsys):
+    # the CLI's spectrum is k^2, so 15^2 * 1e-2 = 2.25 is past the explicit
+    # scheme's bound of 2, which 14^2 * 1e-2 = 1.96 is not
+    conf = write_conf(tmp_path, "estimator.benchmark_method = euler\nproblem.dim = 15\n")
+    assert cli.main(["table", "--table", "2", "--config", str(conf)]) == 2
+    assert capsys.readouterr().err == ("error: estimator.benchmark_method = euler needs "
+                                       "problem.dim^2 * estimator.delta_em <= 2, got 2.25\n")
+    assert not (tmp_path / "out").exists()
+    conf = write_conf(tmp_path, "estimator.benchmark_method = euler\nproblem.dim = 14\n")
+    assert build_config(str(conf)).benchmark_method == "euler"
+
+
+def test_exit_code_out_is_a_file(tmp_path, capsys):
+    conf = write_conf(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli.main(["bank", "--config", str(conf), "--out", str(taken)]) == 3
+    assert "[Errno 17] File exists" in capsys.readouterr().err
+
+
+def test_exit_code_validation_failure(tmp_path, monkeypatch, capsys):
+    # a 2% error in the analytic transform is flagged; the rows are still written
+    def wrong(alpha, gamma_bar, lam):
+        return laplace_exponent(alpha, gamma_bar, lam) - math.log(1.02)
+
+    monkeypatch.setattr(levybank.stable, "laplace_exponent", wrong)
+    conf = write_conf(tmp_path)
+    assert cli.main(["validate", "--config", str(conf)]) == 4
+    _, rows = read_csv(tmp_path / "out" / "validate.csv")
+    assert sum(row[-1] == "1" for row in rows) == 3
+    assert "error: validation failed: 3 sampler rows flagged" in capsys.readouterr().err
 
 
 def test_exit_code_unreadable_config(tmp_path, capsys):

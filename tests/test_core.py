@@ -45,6 +45,12 @@ def test_spec_validation():
         make_spec(gamma_bar=-1.0)
     with pytest.raises(ValueError):
         make_spec(sigmas=np.ones(4))
+    # non-finite values: a NaN gamma_bar made a bank of NaN clocks
+    for kw in (dict(gamma_bar=math.nan), dict(gamma_bar=math.inf), dict(horizon=math.nan),
+               dict(horizon=math.inf), dict(lambdas=np.array([1.0, 4.0, math.inf])),
+               dict(sigmas=np.array([1.0, math.inf, 1.0]))):
+        with pytest.raises(ValueError, match="finite"):
+            make_spec(**kw)
 
 
 def test_content_hash_deterministic_and_sensitive():

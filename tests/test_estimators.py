@@ -154,6 +154,16 @@ def test_em_validation(spec1, q_sine):
         em_benchmark(spec1, q_sine, 100, 1e-2, 0, method="heun")
 
 
+def test_em_euler_refuses_an_unstable_step(spec1, q_sine):
+    # lambda*delta = 2.25 past the explicit scheme's bound of 2; 1.8 runs, and
+    # the exponential scheme is stable at any step
+    stiff = replace(spec1, lambdas=np.array([9.0]))
+    with pytest.raises(ValueError, match=r"diverges when lambda\*delta > 2, got 2.25"):
+        em_benchmark(stiff, q_sine, 100, 0.25, 0, method="euler")
+    for delta_em, method in ((0.2, "euler"), (0.25, "exp")):
+        assert 0.0 <= em_benchmark(stiff, q_sine, 100, delta_em, 0, method=method).value <= 1.0
+
+
 @pytest.mark.parametrize("delta_em", [0.0, -1e-2, math.nan, math.inf])
 def test_em_rejects_bad_step(spec1, q_sine, delta_em):
     # a zero step divided by zero; the others failed on the step grid or in round()

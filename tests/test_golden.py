@@ -41,6 +41,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import sys
+import threading
 
 import levybank.estimators as estimators
 
@@ -307,10 +308,10 @@ def test_em_zero_drift_draws_inline_bitwise(spec3, method, monkeypatch):
     threaded = em_benchmark_series(spec3, query(zeros, False), times, 300, 1e-2, 17,
                                    method=method)
 
-    def no_thread(*args, **kwargs):
+    def no_thread(thread):
         raise AssertionError("the zero field started a helper thread")
 
-    monkeypatch.setattr(estimators, "ThreadPoolExecutor", no_thread)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     inline = em_benchmark_series(spec3, query(zero_field(), False), times, 300, 1e-2, 17,
                                  method=method)
     assert [(e.value, e.std_error) for e in inline] == \
