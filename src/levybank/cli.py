@@ -62,9 +62,8 @@ def _fmt(value) -> str:
 
 
 def _write_csv(cfg, name: str, header: list, rows: list) -> None:
-    """Write name under cfg.out_dir, making the directory, and print its path."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Write name under cfg.out_dir and print its path."""
+    out = Path(cfg.out_dir)   # main made it
     with open(out / name, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -116,13 +115,8 @@ def _solve_shift(cfg, field, s: float, x):
 
 def _bank_path(cfg, alpha: float, n_alphas: int) -> Path:
     if cfg.bank_path:
-        if "{alpha" in cfg.bank_path:
-            try:
-                return Path(cfg.bank_path.format(alpha=alpha))
-            except (KeyError, IndexError, ValueError, AttributeError, TypeError) as exc:
-                raise ConfigError(f"bank.path {cfg.bank_path} does not format with "
-                                  f"alpha={alpha:g} ({type(exc).__name__}: {exc}); its "
-                                  "one brace field is {alpha}") from exc
+        if "{alpha" in cfg.bank_path:   # config checked that it formats
+            return Path(cfg.bank_path.format(alpha=alpha))
         if n_alphas > 1:
             raise ConfigError("bank.path needs an {alpha} placeholder when "
                               "several alpha values are requested")
@@ -130,16 +124,27 @@ def _bank_path(cfg, alpha: float, n_alphas: int) -> Path:
     return Path(cfg.out_dir) / f"bank_a{alpha:g}.lvib"
 
 
-def _load_bank_checked(path: Path, spec):
+def _check_bank_size(cfg, max_order: int, m_ou: int, m_sub: int) -> None:
+    """Refuse a bank too small for v1 at n_pairs and v2..v_max_order at n_tuples."""
+    from .estimators import check_bank_size
+    for order in range(1, max_order + 1):
+        check_bank_size(order, cfg.n_pairs if order == 1 else cfg.n_tuples, m_ou, m_sub)
+
+
+def _load_bank_checked(cfg, path: Path, spec, max_order: int):
+    """The bank file at path, refused unless it fits spec and orders 1..max_order."""
     from .bank import SpecMismatchError, load_bank
     if not path.exists():
         raise _BankFileError(f"bank file not found: {path}")
     try:
-        return load_bank(str(path), expected_spec=spec)
+        bank = load_bank(str(path), expected_spec=spec)
     except SpecMismatchError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     except ValueError as exc:
         raise _BankFileError(f"{path}: {exc}") from exc
+    _status(f"loaded {_bank_summary(path, bank)}")
+    _check_bank_size(cfg, max_order, bank.m_ou, bank.m_sub)
+    return bank
 
 
 def _bank_summary(path: Path, bank) -> str:
@@ -159,12 +164,11 @@ def _write_bank(cfg, spec, path: Path):
     return bank
 
 
-def _ensure_bank(cfg, spec, alpha: float, n_alphas: int):
+def _ensure_bank(cfg, spec, alpha: float, n_alphas: int, max_order: int):
     path = _bank_path(cfg, alpha, n_alphas)
     if path.exists():
-        bank = _load_bank_checked(path, spec)
-        _status(f"loaded {_bank_summary(path, bank)}")
-        return bank
+        return _load_bank_checked(cfg, path, spec, max_order)
+    _check_bank_size(cfg, max_order, cfg.m_ou, cfg.m_sub)
     _status(f"generating bank for alpha={alpha:g} "
             f"(m_sub={cfg.m_sub}, m_ou={cfg.m_ou}, dim={cfg.dim})")
     t0 = time.perf_counter()
@@ -215,13 +219,13 @@ def cmd_table(cfg, args) -> int:
     field = _make_field(cfg, cfg.field_kind)
     shift = _solve_shift(cfg, field, cfg.s, x) if cfg.use_shift else None
     q = _query_for(cfg, cfg.s, sigma, t, x, field, cfg.use_shift)
-    max_order = max(cfg.orders)
-    header = ["alpha", "P"] + [c for k in range(max(max_order, 1) + 1)
+    max_order = max(1, *cfg.orders)   # v1 runs always
+    header = ["alpha", "P"] + [c for k in range(max_order + 1)
                                for c in (f"v{k}", f"eps{k}_r")]
     rows, se_rows = [], []
     for alpha in cfg.alphas:
         spec = _make_spec(cfg, alpha)
-        bank = _ensure_bank(cfg, spec, alpha, len(cfg.alphas))
+        bank = _ensure_bank(cfg, spec, alpha, len(cfg.alphas), max_order)
         t0 = time.perf_counter()
         bench = em_benchmark(spec, q, cfg.benchmark_paths, cfg.delta_em,
                              cfg.bank_seed, method=cfg.benchmark_method)
@@ -262,7 +266,7 @@ def cmd_figure(cfg, args) -> int:
     n_distinct = len({curve[0] for curve in curves})
     for alpha, sigma, use_shift in curves:
         spec = _make_spec(cfg, alpha)
-        bank = _ensure_bank(cfg, spec, alpha, n_distinct)
+        bank = _ensure_bank(cfg, spec, alpha, n_distinct, 1)
         if use_shift and shift is None:
             shift = _solve_shift(cfg, field, cfg.s, x)
         q_last = _query_for(cfg, cfg.s, sigma, t_grid[-1], x, field, use_shift)
@@ -288,9 +292,7 @@ def cmd_sweep(cfg, args) -> int:
         raise ConfigError("sweep needs a bank: set bank.path or pass --bank")
     t = _single("sweep", "query.t_values", cfg.t_values or [cfg.horizon])
     spec = _make_spec(cfg, cfg.alpha)
-    path = Path(cfg.bank_path)
-    bank = _load_bank_checked(path, spec)
-    _status(f"loaded {_bank_summary(path, bank)}")
+    bank = _load_bank_checked(cfg, Path(cfg.bank_path), spec, 1)
     header = ["s", "t", "x", "sigma", "field", "shift", "status",
               "v0", "v0_se", "v1", "v1_se"]
     rows, timing_rows = [], []
@@ -317,7 +319,7 @@ def cmd_sweep(cfg, args) -> int:
                         _check_numbers(f"sweep row {key}", v0, v1)
                         rows.append(key + ["ok", v0.value, v0.std_error,
                                            v1.value, v1.std_error])
-                    except (ConfigError, ValueError) as exc:
+                    except ValueError as exc:
                         _status(f"sweep row {key} invalid: {exc}")
                         rows.append(key + ["invalid", "nan", "nan", "nan", "nan"])
                     timing_rows.append(key + [(time.perf_counter() - t0) * 1e3])
@@ -406,11 +408,11 @@ def main(argv=None) -> int:
         os.environ[var] = "1"
     args = _build_parser().parse_args(argv)
     try:
-        if args.seed is not None and not 0 <= args.seed < 2 ** 64:
-            raise ConfigError(f"--seed must be an unsigned 64-bit int, got {args.seed}")
         cfg = build_config(args.config, args.profile,
                            bank_seed=args.seed, bank_path=args.bank,
                            out_dir=args.out)
+        if args.command != "bank":   # an unwritable output directory fails before any work
+            Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
         return _DISPATCH[args.command](cfg, args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

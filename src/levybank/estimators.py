@@ -606,6 +606,13 @@ def _mesh_nodes(bank: SimulationBank, q: QueryParams, mesh: float, order: int) -
     return i_s, stride, q.s + mesh * np.arange(J + 1)
 
 
+def check_bank_size(order: int, n: int, m_ou: int, m_sub: int) -> None:
+    """Refuse n samples of v^order, each one record and order sub paths, from a bank."""
+    if n > m_ou or order * n > m_sub:
+        raise ValueError(f"bank too small for order={order}, n={n} "
+                         f"(m_ou={m_ou}, m_sub={m_sub})")
+
+
 def _iterate(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShift],
              q: QueryParams, order: int, mesh: float, n: int,
              seed: Optional[int]) -> IterateEstimate:
@@ -623,9 +630,7 @@ def _iterate(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShift]
         raise ValueError(f"order must be >= 1, got {order}")
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
-    if n > bank.m_ou or order * n > bank.m_sub:
-        raise ValueError(f"bank too small for order={order}, n={n} "
-                         f"(m_ou={bank.m_ou}, m_sub={bank.m_sub})")
+    check_bank_size(order, n, bank.m_ou, bank.m_sub)
     shift = _bank_query(bank, spec, shift, q)
     nodes = _mesh_nodes(bank, q, mesh, order)
     drifting = q.field.kind != "zero"
@@ -656,8 +661,11 @@ def _ou_endpoint(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeSh
 
     The endpoint is e^{(t-s)A} x + F_{s,t} + sigma sqrt(Q) (chk_t - e^{(t-s)A}
     chk_s), F_{s,t} from the checked shift; returns (indicator, unit segment
-    chk_t - e^{(t-s)A} chk_s, e^{(t-s)A}, sigma sqrt(Q)).
+    chk_t - e^{(t-s)A} chk_s, e^{(t-s)A}, sigma sqrt(Q)).  A mean over fewer
+    than 2 records has no standard error, so such a bank is refused.
     """
+    if bank.m_ou < 2:
+        raise ValueError(f"bank holds {bank.m_ou} records, need at least 2")
     js, jt = bank.coarse_grid.index_of(q.s), bank.coarse_grid.index_of(q.t)
     chk = bank.record_checkpoints
     prop = np.exp(-spec.lambdas * (q.t - q.s))
@@ -674,8 +682,6 @@ def v0_estimate(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShi
                 q: QueryParams) -> IterateEstimate:
     """v^0 = mean of the indicator at the OU endpoint, over all bank records."""
     shift = _bank_query(bank, spec, shift, q)
-    if bank.m_ou < 2:
-        raise ValueError("bank holds too few records for v0")
     return _estimate(_ou_endpoint(bank, spec, shift, q)[0], 0, q)
 
 
@@ -744,8 +750,8 @@ def ou_gradient(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShi
     e^{(t-s)A} x - F_{s,t}>, with I the record covariance over [s, t].  Pure
     diagnostic: validates the covariance and segment plumbing against finite
     differences.  The covariance comes from bank.covariance_integral, whose
-    contraction stays on einsum: its inner length is the whole window, where
-    BLAS products would change their last bits with the thread count.
+    contraction stays on einsum rather than core.contract: einsum keeps the
+    gradient's bits, which test_gradient_golden_bitwise pins.
     """
     shift = _bank_query(bank, spec, shift, q)
     direction = np.ascontiguousarray(direction, dtype=float)

@@ -6,6 +6,7 @@ import csv
 import hashlib
 import math
 import os
+import re
 import struct
 import weakref
 from pathlib import Path
@@ -18,7 +19,7 @@ import levybank.flow
 import levybank.stable
 from levybank import cli
 from levybank.bank import load_bank
-from levybank.config import build_config
+from levybank.config import KEYS, build_config
 from levybank.estimators import IterateEstimate
 from levybank.stable import laplace_exponent
 
@@ -299,6 +300,28 @@ def test_exit_code_non_finite_config_value(tmp_path, capsys, line):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("line", [
+    "estimator.sample_seed = -1", f"estimator.sample_seed = {2 ** 64}",
+    "query.field_b0 = 0", "query.field_sharpness = -1", "query.t_values = 0.5, 0",
+])
+def test_exit_code_value_once_checked_late(tmp_path, capsys, line):
+    # figure 2 (a bc drift) used to refuse these without naming the key, the
+    # seed and the t only after it had made a bank
+    conf = write_conf(tmp_path, line + "\n")
+    assert cli.main(["figure", "--figure", "2", "--config", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {line.split(' =')[0]} must be ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_documents_every_config_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    documented = {key for line in section.splitlines() if line.startswith("| `")
+                  for key in re.findall(r"`([\w.]+)`", line.split("|")[1])}
+    assert documented == set(KEYS)
+
+
 def test_exit_code_unstable_euler_step(tmp_path, capsys):
     # the CLI's spectrum is k^2, so 15^2 * 1e-2 = 2.25 is past the explicit
     # scheme's bound of 2, which 14^2 * 1e-2 = 1.96 is not
@@ -317,6 +340,64 @@ def test_exit_code_out_is_a_file(tmp_path, capsys):
     taken.write_text("")
     assert cli.main(["bank", "--config", str(conf), "--out", str(taken)]) == 3
     assert "[Errno 17] File exists" in capsys.readouterr().err
+
+
+def refuse_work(monkeypatch) -> None:
+    """Fail the test if a bank is made or a reference, query or sampler check runs."""
+    def work(*args, **kwargs):
+        raise AssertionError("work began")
+
+    for module, name in ((levybank.bank, "generate_bank"), (levybank.stable, "validate_sampler"),
+                         (levybank.estimators, "em_benchmark"),
+                         (levybank.estimators, "em_benchmark_series"),
+                         (levybank.estimators, "v0_estimate")):
+        monkeypatch.setattr(module, name, work)
+
+
+@pytest.mark.parametrize("command", [["table", "--table", "1"], ["figure", "--figure", "1"],
+                                     ["sweep"], ["validate"]])
+def test_unwritable_out_dir_found_before_any_work(tmp_path, capsys, monkeypatch, command):
+    # each made its bank, or ran its queries or checks, before its first write failed
+    conf = write_conf(tmp_path)
+    bank_file = tmp_path / "b.lvib"
+    if command == ["sweep"]:
+        assert cli.main(["bank", "--config", str(conf), "--bank", str(bank_file)]) == 0
+    refuse_work(monkeypatch)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    args = ["--config", str(conf), "--bank", str(bank_file), "--out", str(taken)]
+    assert cli.main(command + args) == 3
+    assert "[Errno 17] File exists" in capsys.readouterr().err
+    assert bank_file.exists() == (command == ["sweep"])
+
+
+@pytest.mark.parametrize("command, line", [
+    (["table", "--table", "1"], "bank.m_ou = 5"),
+    (["table", "--table", "4"], "estimator.n_tuples = 200"),
+    (["figure", "--figure", "1"], "bank.m_sub = 200"),
+])
+def test_small_bank_refused_before_it_is_made(tmp_path, capsys, monkeypatch, command, line):
+    # the first iterate refused it, after the bank was written and the reference ran
+    conf = write_conf(tmp_path, f"{line}\nbank.path = {tmp_path}/b.lvib\n")
+    refuse_work(monkeypatch)
+    assert cli.main(command + ["--config", str(conf)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: bank too small for order=")
+    assert not (tmp_path / "b.lvib").exists()
+
+
+@pytest.mark.parametrize("command", [["table", "--table", "1"], ["sweep"]])
+def test_small_bank_file_refused_before_any_query(tmp_path, capsys, monkeypatch, command):
+    # sweep marked every row invalid and exited 0
+    bank_file = tmp_path / "small.lvib"
+    small = write_conf(tmp_path, "bank.m_ou = 5\n")
+    assert cli.main(["bank", "--config", str(small), "--bank", str(bank_file)]) == 0
+    capsys.readouterr()
+    refuse_work(monkeypatch)
+    conf = write_conf(tmp_path)
+    assert cli.main(command + ["--config", str(conf), "--bank", str(bank_file)]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: bank too small for order=1, n=300 (m_ou=5, m_sub=300)\n")
+    assert not list((tmp_path / "out").glob("*.csv"))
 
 
 def test_exit_code_validation_failure(tmp_path, monkeypatch, capsys):

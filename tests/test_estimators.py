@@ -13,10 +13,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import erfc
 
 import levybank
 import levybank.estimators as estimators
-from levybank.bank import generate_bank
+from levybank.bank import covariance_integral, generate_bank
 from levybank.core import ProblemSpec, TimeGrid, covariance_weights
 from levybank.estimators import (IterateEstimate, QueryParams, em_benchmark,
                                  em_benchmark_series, ou_gradient, partial_sums,
@@ -263,24 +264,40 @@ def test_v0_matches_constant_drift_oracle(det_bank_lam2, s, t, use_shift):
     q, shift = constant_drift_case(s, t, use_shift)
     decay = math.exp(-LAM * (t - s))
     m = decay * X + (C * (1.0 - decay) / LAM if use_shift else 0.0)
-    scale = SIGMA * math.sqrt((1.0 - decay ** 2) / LAM)   # sqrt(2 V)
-    want = 0.5 * (math.erfc((RADIUS - m) / scale) + math.erfc((RADIUS + m) / scale))
+    want = exit_probability(m, SIGMA ** 2 * (1.0 - decay ** 2) / (2.0 * LAM))
     est = v0_estimate(det_bank_lam2, LAM2, shift, q)
     assert est.n_samples == 30000
     assert abs(est.value - want) <= 4.0 * est.std_error, (est.value - want) / est.std_error
 
 
-def exit_derivative(order: int, m: float, var: float) -> float:
+def exit_probability(m: float, var):
+    """g(m) = P(|N(m, var)| > RADIUS), elementwise over an array of var."""
+    scale = np.sqrt(2.0 * np.asarray(var))
+    return 0.5 * (erfc((RADIUS - m) / scale) + erfc((RADIUS + m) / scale))
+
+
+def exit_derivative(order: int, m: float, var):
     """d^order/dm^order of g(m) = P(|N(m, var)| > RADIUS), order 1 to 3.
 
     g = 1 + Phi(a) - Phi(b) with a, b = (m -+ RADIUS)/sqrt(var), and the k-th
     derivative of Phi is (-1)^(k-1) He_(k-1)(z) phi(z) (Hermite polynomials).
+    Elementwise over an array of var.
     """
-    sd = math.sqrt(var)
+    sd = np.sqrt(var)
     hermite = (lambda z: 1.0, lambda z: z, lambda z: z * z - 1.0)[order - 1]
     a, b = (m - RADIUS) / sd, (m + RADIUS) / sd
-    phi = [math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) for z in (a, b)]
+    phi = [np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) for z in (a, b)]
     return (-1) ** (order - 1) * (hermite(a) * phi[0] - hermite(b) * phi[1]) / sd ** order
+
+
+def simplex_weight(s: float, t: float, mesh: float, order: int) -> float:
+    """e_order(w), w_j = h e^{-lam (t - tau_j)} over the nodes tau_j = s + j h < t."""
+    w = mesh * np.exp(-LAM * (t - (s + mesh * np.arange(round((t - s) / mesh)))))
+    e = np.zeros(order + 1)
+    e[0] = 1.0
+    for wj in w:
+        e[1:] = e[1:] + wj * e[:-1]
+    return e[order]
 
 
 @pytest.mark.parametrize("order, n", [(1, 30000), (2, 30000), (3, 20000)])
@@ -292,17 +309,50 @@ def test_iterates_match_constant_drift_oracle(det_bank_lam2, s, t, mesh, order, 
     # nodes tau_j = s + j h < t, e_n the n-th elementary symmetric polynomial,
     # m = e^{-lam (t-s)} x and g the exit probability of N(m, V_{s,t}).
     q, _ = constant_drift_case(s, t, False)
-    w = mesh * np.exp(-LAM * (t - (s + mesh * np.arange(round((t - s) / mesh)))))
-    e = np.zeros(order + 1)
-    e[0] = 1.0
-    for wj in w:
-        e[1:] = e[1:] + wj * e[:-1]
     var = SIGMA ** 2 * (1.0 - math.exp(-2.0 * LAM * (t - s))) / (2.0 * LAM)
-    want = e[order] * C ** order * exit_derivative(order, math.exp(-LAM * (t - s)) * X, var)
+    want = simplex_weight(s, t, mesh, order) * C ** order \
+        * exit_derivative(order, math.exp(-LAM * (t - s)) * X, var)
     est = v1_estimate(det_bank_lam2, LAM2, None, q, mesh, n) if order == 1 \
         else vn_estimate(det_bank_lam2, LAM2, None, q, order, mesh, n)
     assert est.n_samples == n
     assert abs(est.value - want) <= 4.0 * est.std_error, (est.value - want) / est.std_error
+
+
+# A random clock L: given L, every interval is Gaussian with the record's
+# covariance V_L, and the record's clock up to a node followed by a sub
+# path's clock after it has the law of one clock.  So the oracles above hold
+# averaged over clocks, v^n = e_n(w) C^n E_L[g_L^(n)(m)] (v^0 = E_L[g_L(m)]),
+# with E_L a mean over fresh clocks, whose se is far below the estimate's
+# from order 1 on.  Unlike a deterministic clock, I0 != I1 here, so these
+# see each interval's sqrt(I0/I1) factor.
+RANDOM_CLOCK = replace(LAM2, alpha=0.55)
+
+
+@pytest.fixture(scope="module")
+def random_clock_case():
+    """A random-clock bank, and sigma^2 V_L for 3e4 fresh clocks per (s, t)."""
+    bank = generate_bank(RANDOM_CLOCK, 1e-2, 1e-2, 40000, 20000, 1)
+    clocks = generate_bank(RANDOM_CLOCK, 1e-2, 1e-2, 30000, 0, 1001).sub_values
+    return bank, {st: covariance_integral(clocks, 1e-2, RANDOM_CLOCK, SIGMA, *st)[:, 0]
+                  for st in ((0.0, 1.0), (0.2, 0.9))}
+
+
+@pytest.mark.parametrize("order, n", [(0, 20000), (1, 20000), (2, 20000), (3, 10000)])
+@pytest.mark.parametrize("s, t, mesh", [(0.0, 1.0, 0.05), (0.2, 0.9, 0.1)])
+def test_iterates_match_random_clock_oracle(random_clock_case, s, t, mesh, order, n):
+    bank, variances = random_clock_case
+    q, _ = constant_drift_case(s, t, False)
+    m = math.exp(-LAM * (t - s)) * X
+    if order == 0:
+        oracle = exit_probability(m, variances[s, t])
+        est = v0_estimate(bank, RANDOM_CLOCK, None, q)
+    else:
+        oracle = simplex_weight(s, t, mesh, order) * C ** order \
+            * exit_derivative(order, m, variances[s, t])
+        est = vn_estimate(bank, RANDOM_CLOCK, None, q, order, mesh, n)
+    assert est.n_samples == n
+    se = math.hypot(est.std_error, oracle.std() / math.sqrt(oracle.size))
+    assert abs(est.value - oracle.mean()) <= 4.0 * se, (est.value - oracle.mean()) / se
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -314,11 +364,16 @@ def test_iterates_vanish_when_the_shift_takes_the_drift(det_bank_lam2, order):
 
 
 def test_v0_needs_records(spec1):
-    lonely = generate_bank(spec1, 1e-3, 1e-2, 2, 1, 0)
+    # ou_gradient shares v0's endpoint; it gave a standard error of 0.0 from
+    # one record and a NaN from none
     q = QueryParams(s=0.0, t=1.0, x=np.array([0.4]), sigma_scale=0.5,
                     radius=1.0, field=zero_field(), use_shift=False)
-    with pytest.raises(ValueError):
-        v0_estimate(lonely, spec1, None, q)
+    for m_ou in (0, 1):
+        lonely = generate_bank(spec1, 1e-3, 1e-2, 2, m_ou, 0)
+        with pytest.raises(ValueError, match=f"bank holds {m_ou} records, need at least 2"):
+            v0_estimate(lonely, spec1, None, q)
+        with pytest.raises(ValueError, match=f"bank holds {m_ou} records, need at least 2"):
+            ou_gradient(lonely, spec1, None, q, np.array([1.0]))
 
 
 def test_spec_mismatch_rejected(det_bank1):
