@@ -42,12 +42,12 @@ _TABLE_PRESETS = {
     4: dict(field_kind="bc", use_shift=False, sigmas=[0.7], orders=[0, 1, 2]),
 }
 
-# figure curves as (alpha, sigma, shift on) triples
+# figure curves as {alpha: {sigma: [shift on, ...]}}: one bank per alpha and,
+# since the reference ignores the shift, one reference per (alpha, sigma)
 _FIGURE_PRESETS = {
-    1: ("sine", [(0.6, 0.1, True), (0.6, 1.3, True)]),
-    2: ("bc", [(0.55, 0.5, True), (0.55, 0.5, False),
-               (0.85, 0.5, True), (0.85, 0.5, False)]),
-    3: ("bc", [(0.6, 0.1, True), (0.6, 1.3, True)]),
+    1: ("sine", {0.6: {0.1: [True], 1.3: [True]}}),
+    2: ("bc", {0.55: {0.5: [True, False]}, 0.85: {0.5: [True, False]}}),
+    3: ("bc", {0.6: {0.1: [True], 1.3: [True]}}),
 }
 
 
@@ -124,29 +124,6 @@ def _bank_path(cfg, alpha: float, n_alphas: int) -> Path:
     return Path(cfg.out_dir) / f"bank_a{alpha:g}.lvib"
 
 
-def _check_bank_size(cfg, max_order: int, m_ou: int, m_sub: int) -> None:
-    """Refuse a bank too small for v1 at n_pairs and v2..v_max_order at n_tuples."""
-    from .estimators import check_bank_size
-    for order in range(1, max_order + 1):
-        check_bank_size(order, cfg.n_pairs if order == 1 else cfg.n_tuples, m_ou, m_sub)
-
-
-def _load_bank_checked(cfg, path: Path, spec, max_order: int):
-    """The bank file at path, refused unless it fits spec and orders 1..max_order."""
-    from .bank import SpecMismatchError, load_bank
-    if not path.exists():
-        raise _BankFileError(f"bank file not found: {path}")
-    try:
-        bank = load_bank(str(path), expected_spec=spec)
-    except SpecMismatchError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    except ValueError as exc:
-        raise _BankFileError(f"{path}: {exc}") from exc
-    _status(f"loaded {_bank_summary(path, bank)}")
-    _check_bank_size(cfg, max_order, bank.m_ou, bank.m_sub)
-    return bank
-
-
 def _bank_summary(path: Path, bank) -> str:
     h = bank.header
     return (f"bank {path} ({path.stat().st_size} bytes): m_sub={h.m_sub} "
@@ -164,16 +141,34 @@ def _write_bank(cfg, spec, path: Path):
     return bank
 
 
-def _ensure_bank(cfg, spec, alpha: float, n_alphas: int, max_order: int):
-    path = _bank_path(cfg, alpha, n_alphas)
+def _bank(cfg, alpha: float, n_alphas: int, max_order: int, make: bool = True):
+    """The bank for alpha at _bank_path: its file or, when make is true and there is
+    none, one made and written there.  Refused unless it fits the spec and v1 at
+    n_pairs and v2..v_max_order at n_tuples: on the file's sizes once it is read,
+    on the config's before a bank is made."""
+    from .bank import SpecMismatchError, load_bank
+    from .estimators import check_bank_size
+    path, spec = _bank_path(cfg, alpha, n_alphas), _make_spec(cfg, alpha)
+    bank, sizes = None, (cfg.m_ou, cfg.m_sub)
     if path.exists():
-        return _load_bank_checked(cfg, path, spec, max_order)
-    _check_bank_size(cfg, max_order, cfg.m_ou, cfg.m_sub)
-    _status(f"generating bank for alpha={alpha:g} "
-            f"(m_sub={cfg.m_sub}, m_ou={cfg.m_ou}, dim={cfg.dim})")
-    t0 = time.perf_counter()
-    bank = _write_bank(cfg, spec, path)
-    _status(f"wrote {_bank_summary(path, bank)} in {time.perf_counter() - t0:.1f}s")
+        try:
+            bank = load_bank(str(path), expected_spec=spec)
+        except SpecMismatchError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+        except ValueError as exc:
+            raise _BankFileError(f"{path}: {exc}") from exc
+        _status(f"loaded {_bank_summary(path, bank)}")
+        sizes = (bank.m_ou, bank.m_sub)
+    elif not make:
+        raise _BankFileError(f"bank file not found: {path}")
+    for order in range(1, max_order + 1):
+        check_bank_size(order, cfg.n_pairs if order == 1 else cfg.n_tuples, *sizes)
+    if bank is None:
+        _status(f"generating bank for alpha={alpha:g} "
+                f"(m_sub={cfg.m_sub}, m_ou={cfg.m_ou}, dim={cfg.dim})")
+        t0 = time.perf_counter()
+        bank = _write_bank(cfg, spec, path)
+        _status(f"wrote {_bank_summary(path, bank)} in {time.perf_counter() - t0:.1f}s")
     return bank
 
 
@@ -225,7 +220,7 @@ def cmd_table(cfg, args) -> int:
     rows, se_rows = [], []
     for alpha in cfg.alphas:
         spec = _make_spec(cfg, alpha)
-        bank = _ensure_bank(cfg, spec, alpha, len(cfg.alphas), max_order)
+        bank = _bank(cfg, alpha, len(cfg.alphas), max_order)
         t0 = time.perf_counter()
         bench = em_benchmark(spec, q, cfg.benchmark_paths, cfg.delta_em,
                              cfg.bank_seed, method=cfg.benchmark_method)
@@ -258,32 +253,33 @@ def cmd_figure(cfg, args) -> int:
         _status(f"figure {args.figure} ignores {', '.join(ignored)}: its preset fixes each "
                 "curve's alpha, sigma and shift, and runs orders 0-1")
     from .estimators import em_benchmark_series, partial_sums
-    t_grid = cfg.t_values or [round(0.1 * k, 10) for k in range(1, 11)]
+    t_grid = cfg.t_values or [round(cfg.horizon * k / 10, 10) for k in range(1, 11)]
     x = parse_x(cfg.x, cfg.dim)
     field = _make_field(cfg, field_kind)
     shift = None
     header = ["t", "P", "v0", "v0_plus_v1", "abs_eps0", "abs_eps1"]
-    n_distinct = len({curve[0] for curve in curves})
-    for alpha, sigma, use_shift in curves:
+    for alpha, by_sigma in curves.items():
         spec = _make_spec(cfg, alpha)
-        bank = _ensure_bank(cfg, spec, alpha, n_distinct, 1)
-        if use_shift and shift is None:
-            shift = _solve_shift(cfg, field, cfg.s, x)
-        q_last = _query_for(cfg, cfg.s, sigma, t_grid[-1], x, field, use_shift)
-        bench = em_benchmark_series(spec, q_last, t_grid, cfg.benchmark_paths,
-                                    cfg.delta_em, cfg.bank_seed,
-                                    method=cfg.benchmark_method)
-        rows = []
-        for t_val, b_est in zip(t_grid, bench):
-            q = _query_for(cfg, cfg.s, sigma, t_val, x, field, use_shift)
-            iterates = _iterates(cfg, bank, spec, shift, q, 1)
-            _check_numbers(f"figure {args.figure} t={t_val:g}", b_est, *iterates)
-            s0, s1 = partial_sums(iterates, b_est)
-            rows.append([t_val, b_est.value, s0.partial_sum, s1.partial_sum,
-                         abs(s0.eps_rel), abs(s1.eps_rel)])
-        tag = f"alpha{alpha:g}_sigma{sigma:g}_" + ("shift" if use_shift else "noshift")
-        _write_csv(cfg, f"figure{args.figure}_{tag}.csv", header, rows)
-        _status(f"figure {args.figure} curve {tag} done")
+        bank = _bank(cfg, alpha, len(curves), 1)
+        for sigma, shifts in by_sigma.items():
+            q_last = _query_for(cfg, cfg.s, sigma, t_grid[-1], x, field, False)
+            bench = em_benchmark_series(spec, q_last, t_grid, cfg.benchmark_paths,
+                                        cfg.delta_em, cfg.bank_seed,
+                                        method=cfg.benchmark_method)
+            for use_shift in shifts:
+                if use_shift and shift is None:
+                    shift = _solve_shift(cfg, field, cfg.s, x)
+                rows = []
+                for t_val, b_est in zip(t_grid, bench):
+                    q = _query_for(cfg, cfg.s, sigma, t_val, x, field, use_shift)
+                    iterates = _iterates(cfg, bank, spec, shift, q, 1)
+                    _check_numbers(f"figure {args.figure} t={t_val:g}", b_est, *iterates)
+                    s0, s1 = partial_sums(iterates, b_est)
+                    rows.append([t_val, b_est.value, s0.partial_sum, s1.partial_sum,
+                                 abs(s0.eps_rel), abs(s1.eps_rel)])
+                tag = f"alpha{alpha:g}_sigma{sigma:g}_" + ("shift" if use_shift else "noshift")
+                _write_csv(cfg, f"figure{args.figure}_{tag}.csv", header, rows)
+                _status(f"figure {args.figure} curve {tag} done")
     return 0
 
 
@@ -292,7 +288,7 @@ def cmd_sweep(cfg, args) -> int:
         raise ConfigError("sweep needs a bank: set bank.path or pass --bank")
     t = _single("sweep", "query.t_values", cfg.t_values or [cfg.horizon])
     spec = _make_spec(cfg, cfg.alpha)
-    bank = _load_bank_checked(cfg, Path(cfg.bank_path), spec, 1)
+    bank = _bank(cfg, cfg.alpha, 1, 1, make=False)
     header = ["s", "t", "x", "sigma", "field", "shift", "status",
               "v0", "v0_se", "v1", "v1_se"]
     rows, timing_rows = [], []

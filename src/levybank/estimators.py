@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import copy
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from functools import partial, reduce
@@ -624,7 +625,10 @@ def _iterate(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShift]
     returned without walking, the walk's estimate bit for bit.  A zero field
     under a nonzero shift walks, since its drift is -f.
     A helper thread walks the outer nodes below _split(J, order) in a walker
-    of its own; its node sums are added after this thread's, in order.
+    of its own; its node sums are added after this thread's, in order.  A
+    walker that raises sets a flag that stops the other at its next outer
+    node, so a failure costs at most one more node; this thread's error, if
+    it raised, is the one raised, else the helper's.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -643,10 +647,23 @@ def _iterate(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShift]
         return _estimate(np.zeros(n), order, q)
     frame = _MeshFrame(bank, spec, shift, q, mesh, order, n, nodes, selection)
     J, k = frame.J, _split(frame.J, order)
+    failed = threading.Event()
+
+    def walk(walker: _MeshFrame, lo: int, hi: int):
+        """The sums of outer nodes hi - 1 down to lo, until either walker fails."""
+        try:
+            for node_sum in _node_sums(walker, order, J, [], lo, hi):
+                yield node_sum
+                if failed.is_set():
+                    return
+        except BaseException:
+            failed.set()
+            raise
+
     with ThreadPoolExecutor(1) as pool:   # starts its thread at the first submit
-        low = pool.submit(lambda walker: list(_node_sums(walker, order, J, [], order - 1, k)),
+        low = pool.submit(lambda walker: list(walk(walker, order - 1, k)),
                           frame.walker()) if k >= order else None
-        acc = reduce(add, _node_sums(frame, order, J, [], k, J), 0.0)
+        acc = reduce(add, walk(frame, k, J), 0.0)
         acc = reduce(add, low.result() if low else [], acc)
     return _estimate(frame.h ** order * acc, order, q)
 

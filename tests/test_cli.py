@@ -8,6 +8,8 @@ import math
 import os
 import re
 import struct
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -168,6 +170,76 @@ def test_bank_path_bad_placeholder(tmp_path, capsys, name):
         assert cli.main([*command, "--config", str(conf)]) == 2
         assert "bank.path" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [conf]
+
+
+def test_figure_reads_each_bank_and_runs_each_reference_once(tmp_path, monkeypatch):
+    # figure 2's curves pair up by (alpha, sigma) and differ only in the shift,
+    # which the reference ignores; it ran 4 references and read back both banks
+    calls = {"em_benchmark_series": 0, "load_bank": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, call)
+
+    counting(levybank.estimators, "em_benchmark_series")
+    counting(levybank.bank, "load_bank")
+    conf = write_conf(tmp_path, "query.t_values = 1.0\n")
+    assert cli.main(["figure", "--figure", "2", "--config", str(conf)]) == 0
+    assert calls == {"em_benchmark_series": 2, "load_bank": 0}
+    assert sorted(p.name for p in (tmp_path / "out").glob("figure2_*.csv")) == [
+        f"figure2_alpha{a}_sigma0.5_{s}.csv" for a in ("0.55", "0.85") for s in ("noshift", "shift")]
+
+
+def test_figure_default_grid_spans_the_horizon(tmp_path):
+    # the grid was 0.1, ..., 1.0 whatever the horizon, so t past 0.5 exited 2
+    conf = write_conf(tmp_path, "problem.horizon = 0.5\n")
+    assert cli.main(["figure", "--figure", "1", "--config", str(conf)]) == 0
+    _, rows = read_csv(tmp_path / "out" / "figure1_alpha0.6_sigma0.1_shift.csv")
+    assert [float(r[0]) for r in rows] == [round(0.05 * k, 10) for k in range(1, 11)]
+
+
+def test_sweep_finds_the_bank_that_bank_writes(tmp_path, capsys):
+    # sweep looked for a file named b{alpha}.lvib and exited 3
+    conf = sweep_conf_for(tmp_path, tmp_path / "banks" / "b{alpha}.lvib")
+    assert cli.main(["bank", "--config", str(conf)]) == 0
+    assert [p.name for p in (tmp_path / "banks").iterdir()] == ["b0.75.lvib"]
+    assert cli.main(["sweep", "--config", str(conf)]) == 0
+    assert f"loaded bank {tmp_path / 'banks' / 'b0.75.lvib'} " in capsys.readouterr().err
+    _, rows = read_csv(tmp_path / "out" / "sweep.csv")
+    assert [r[6] for r in rows] == ["ok", "ok", "invalid"]
+
+
+@pytest.mark.parametrize("command, line, key", [
+    (["table", "--table", "1"], "query.t_values = 2", "query.t_values"),
+    (["figure", "--figure", "1"], "query.s = 1.0", "query.s"),
+    (["table", "--table", "1"], "query.s = 0.5\nquery.t_values = 0.5", "query.t_values"),
+    (["table", "--table", "2"], "estimator.mesh = 0.015", "estimator.mesh"),
+    (["table", "--table", "1"], "estimator.mesh = 0.2\nquery.t_values = 0.5", "estimator.mesh"),
+    (["figure", "--figure", "2"], "estimator.delta_em = 0.0007", "estimator.delta_em"),
+])
+def test_query_window_and_steps_refused_before_any_bank(tmp_path, capsys, monkeypatch,
+                                                        command, line, key):
+    # none named its key, and all but s = t were refused only after the bank
+    # was written (the two mesh cases after the reference ran too)
+    conf = write_conf(tmp_path, f"{line}\nbank.path = {tmp_path}/b.lvib\n")
+    refuse_work(monkeypatch)
+    assert cli.main(command + ["--config", str(conf)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} must ")
+    assert not (tmp_path / "b.lvib").exists() and not (tmp_path / "out").exists()
+
+
+def test_front_end_imports_load_no_numpy():
+    # main pins BLAS to one thread before numpy loads, so the modules it
+    # imports must leave numpy to the commands
+    code = "import sys, levybank.cli, levybank.config; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"
 
 
 def test_sweep_needs_a_bank(tmp_path, capsys):

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -608,6 +609,40 @@ def test_drift_error_surfaces_from_either_walker(spec3, bank3, order, mesh, walk
         if walker != "block":
             assert (str(info.value) == main.name) == (walker == "caller")
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_caller_failure_stops_the_helper(spec3, bank3, order):
+    # The calling thread fails at its first drift call of the walk; at order 2
+    # the frame has built every node's drift by then, from (n, dim) panels,
+    # and the walk pushes (B, n, dim) stacks.  The helper's first call waits
+    # until that failure has surfaced.  From then on the helper may finish
+    # the outer node it is in and no other; its calls' t names that node
+    # (s_1 at order 1, s_2 at order 2).  It used to walk all its nodes.
+    main = threading.main_thread()
+    caller_failed = threading.Event()
+    helper_times = []
+
+    def drift(t, x):
+        if threading.current_thread() is not main:
+            if not helper_times:
+                caller_failed.wait(10)
+                time.sleep(0.2)
+            helper_times.append(t)
+        elif order == 1 or x.ndim == 3:
+            caller_failed.set()
+            raise Planted(main.name)
+        return np.sin(x)
+
+    _, q = split_query(spec3, custom_field(drift, 1.0), use_shift=False)
+    assert estimators._split(20, order) >= order   # the helper has nodes to walk
+    with pytest.raises(Planted) as info:
+        if order == 1:
+            v1_estimate(bank3, spec3, None, q, 0.05, 100)
+        else:
+            vn_estimate(bank3, spec3, None, q, order, 0.05, 100)
+    assert str(info.value) == main.name
+    assert len(set(helper_times)) <= 1, sorted(set(helper_times))
 
 
 @pytest.mark.parametrize("order, mesh", SPLIT_CASES[1:])
