@@ -25,7 +25,8 @@ covariance_integral, the covariance of any on-grid window given the clock,
 uses the same per-bin weights, so the two are consistent and both become
 exact in the deterministic-clock limit, which is the test oracle.  The
 recurrence runs in float64; precision 4 rounds only the stored values.  W_L
-itself is never stored; every consumer needs only Ztilde and L.
+itself is never stored; every consumer needs only Ztilde and L.  Generation
+takes its second thread under the one helper-thread rule, core.two_threads.
 
 File format (little endian, magic "LVIB", version 2):
 
@@ -47,13 +48,12 @@ from __future__ import annotations
 
 import os
 import struct
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiagonalOperator, ProblemSpec, TimeGrid, contract, covariance_weights
+from .core import (DiagonalOperator, ProblemSpec, TimeGrid, contract, covariance_weights,
+                   two_threads)
 from .stable import increment_scale, kanter_draws, kanter_transform
 from .streams import (DOMAIN_RECORD_BLOCK_GAUSS, DOMAIN_RECORD_CLOCK,
                       DOMAIN_SUB_PATH, make_rng)
@@ -161,13 +161,14 @@ def generate_bank(spec: ProblemSpec, delta_fine: float, delta_coarse: float,
 
     The work comes in chunks of up to GENERATE_CHUNK_BYTES // (8 n_fine)
     sub paths or records, which the calling thread and one helper thread take
-    in turn.  Within a chunk each path draws its uniforms and exponentials
-    from its own stream, one Kanter transform turns the whole block into
-    increments, and a record chunk then scales each record's block normals
-    and runs the checkpoint recurrence over its records in float64, writing
-    them to the output (rounded there at precision 4).  Each path and record
-    has its own stream and every operation acts row by row, so the bytes do
-    not depend on the chunk size or on which thread took a chunk.
+    in turn through core.two_threads.  Within a chunk each path draws its
+    uniforms and exponentials from its own stream, one Kanter transform turns
+    the whole block into increments, and a record chunk then scales each
+    record's block normals and runs the checkpoint recurrence over its
+    records in float64, writing them to the output (rounded there at
+    precision 4).  Each path and record has its own stream and every
+    operation acts row by row, so the bytes do not depend on the chunk size
+    or on which thread took a chunk.
     """
     if m_sub < 0 or m_ou < 0:
         raise ValueError("m_sub and m_ou must be nonnegative")
@@ -190,7 +191,6 @@ def generate_bank(spec: ProblemSpec, delta_fine: float, delta_coarse: float,
     per = max(1, GENERATE_CHUNK_BYTES // (8 * n_fine))
     jobs = [(DOMAIN_SUB_PATH, lo, min(lo + per, m_sub)) for lo in range(0, m_sub, per)]
     jobs += [(DOMAIN_RECORD_CLOCK, lo, min(lo + per, m_ou)) for lo in range(0, m_ou, per)]
-    failed = threading.Event()
 
     def clocks(values: np.ndarray, domain: int, lo: int, hi: int, kanter: list) -> None:
         values[lo:hi, 0] = 0.0
@@ -227,26 +227,14 @@ def generate_bank(spec: ProblemSpec, delta_fine: float, delta_coarse: float,
         return kanter, (np.empty(n_fine), *np.empty((2, n_blocks, dim)), np.empty((per, dim)),
                         np.empty((per, n_blocks + 1, dim)) if precision == 4 else None)
 
-    def work(todo: list, kanter: list, per_record: tuple) -> None:
-        try:
-            for domain, lo, hi in todo:
-                if failed.is_set():
-                    return
-                if domain == DOMAIN_SUB_PATH:
-                    clocks(sub_values, domain, lo, hi, kanter)
-                else:
-                    records(lo, hi, kanter, *per_record)
-        except BaseException:
-            failed.set()   # the other worker stops at its next chunk
-            raise
+    def work(todo: list, kanter: list, per_record: tuple):   # one item per chunk
+        return (clocks(sub_values, domain, lo, hi, kanter) if domain == DOMAIN_SUB_PATH
+                else records(lo, hi, kanter, *per_record) for domain, lo, hi in todo)
 
     # Each worker reuses its buffers chunk after chunk.  This thread allocates
     # both sets, so the helper leaves no freed buffers in a heap of its own.
-    with ThreadPoolExecutor(1) as pool:   # starts its thread at the first submit
-        helper = pool.submit(work, jobs[1::2], *buffers()) if len(jobs) > 1 else None
-        work(jobs[::2], *buffers())
-        if helper is not None:
-            helper.result()
+    two_threads(work(jobs[::2], *buffers()),
+                work(jobs[1::2], *buffers()) if len(jobs) > 1 else None)
 
     header = BankHeader(version=FORMAT_VERSION, spec_hash=spec.content_hash(),
                         delta_fine=delta_fine, delta_coarse=delta_coarse,

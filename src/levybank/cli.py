@@ -24,7 +24,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .config import KEYS, ConfigError, build_config, parse_x
+from .config import KEYS, ConfigError, build_config, check_times, parse_x
 
 
 class _NumericalFailure(Exception):
@@ -254,6 +254,7 @@ def cmd_figure(cfg, args) -> int:
                 "curve's alpha, sigma and shift, and runs orders 0-1")
     from .estimators import em_benchmark_series, partial_sums
     t_grid = cfg.t_values or [round(cfg.horizon * k / 10, 10) for k in range(1, 11)]
+    check_times(cfg, t_grid)
     x = parse_x(cfg.x, cfg.dim)
     field = _make_field(cfg, field_kind)
     shift = None

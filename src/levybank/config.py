@@ -204,8 +204,14 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         parse_x(cfg.x, cfg.dim)
     except ConfigError as exc:
         raise ConfigError(f"query.x: {exc}") from exc
-    # the query window and the steps that must tile it, in the library's grid
-    # rule; numpy loads here, after main has pinned BLAS
+    check_times(cfg, cfg.t_values or [cfg.horizon])
+    return cfg
+
+
+def check_times(cfg: ExperimentConfig, times: list) -> None:
+    """Refuse a time outside (query.s, problem.horizon], or a step that does not tile
+    [query.s, t]; times are query.t_values when set, else those the command runs."""
+    # the library's grid rule; numpy loads here, after main has pinned BLAS
     from .core import TimeGrid
 
     def on_grid(key: str, value: float, what: str, *grid) -> None:
@@ -217,15 +223,14 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     on_grid("estimator.mesh", cfg.mesh,
             f"be a whole multiple of bank.delta_coarse = {cfg.delta_coarse!r}",
             0.0, cfg.mesh, cfg.delta_coarse)
-    for t in cfg.t_values or [cfg.horizon]:
-        if not cfg.s < t <= cfg.horizon:
+    for t in times:   # a command's own times end at the horizon, up to rounding
+        if not cfg.s < t <= (cfg.horizon if cfg.t_values else math.inf):
             raise ConfigError(
                 f"query.t_values must lie in (query.s, problem.horizon] = "
                 f"({cfg.s!r}, {cfg.horizon!r}], got {t!r}" if cfg.t_values else
-                f"query.s must be below problem.horizon = {cfg.horizon!r}, got {cfg.s!r}")
+                f"query.s must be below every time queried, got {cfg.s!r} >= {t!r}")
         for key, step in (("estimator.mesh", cfg.mesh), ("estimator.delta_em", cfg.delta_em)):
             on_grid(key, step, f"divide [query.s, t] = [{cfg.s!r}, {t!r}]", cfg.s, t, step)
-    return cfg
 
 
 def build_config(file_path: Optional[str] = None, profile: Optional[str] = None,

@@ -1,4 +1,4 @@
-"""Problem configuration, diagonal-operator arithmetic and closed-form oracles.
+"""Problem configuration, diagonal-operator arithmetic, closed-form oracles, threads.
 
 The model lives on R^N with A = -diag(lambda_1..lambda_N) and Q = diag(sigma_1^2
 .. sigma_N^2), so every operator that appears anywhere in the engine (propagators
@@ -12,7 +12,10 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -173,3 +176,37 @@ def contract(a: np.ndarray, w: np.ndarray, out: np.ndarray, scratch: np.ndarray)
     for p in range(CONTRACT_PIECE, len(w), CONTRACT_PIECE):
         out += np.matmul(a[..., p:p + CONTRACT_PIECE], w[p:p + CONTRACT_PIECE], out=scratch)
     return out
+
+
+def _drain(items: Iterable, stop: threading.Event) -> list:
+    """The items in order, until stop is set before the next; a raise sets stop."""
+    try:   # zip reads the flag before it pulls each item
+        return [item for _, item in zip(iter(stop.is_set, True), items)]
+    except BaseException:
+        stop.set()
+        raise
+
+
+def two_threads(mine: Iterable, theirs: Iterable | None) -> tuple[list, list]:
+    """Drain theirs on one helper thread while this thread drains mine; both lists.
+
+    A raise on either side stops the other before its next item; this
+    thread's error is raised, else the helper's.  theirs=None starts no thread.
+    """
+    if theirs is None:
+        return list(mine), []
+    stop = threading.Event()
+    with ThreadPoolExecutor(1) as pool:   # joins the helper on the way out
+        helper = pool.submit(_drain, theirs, stop)
+        return _drain(mine, stop), helper.result()
+
+
+def one_ahead(items: Iterable) -> Iterator:
+    """Each item, the next made on one helper thread while the caller holds this
+    one; an error is raised when its item is asked for.  Closing joins the thread."""
+    items, end = iter(items), object()
+    with ThreadPoolExecutor(1) as pool:
+        pending = pool.submit(next, items, end)
+        while (item := pending.result()) is not end:
+            pending = pool.submit(next, items, end)
+            yield item

@@ -44,13 +44,12 @@ Conventions shared by the iterate estimators:
   Every stacked operation computes each row as it would alone, and the
   node sums are still added one node at a time in descending order, so no
   value depends on B.  The drift may be handed a (B, n, dim) stack.
-* The outermost nodes are walked on two threads: one helper thread takes the
-  nodes below _split(J, order), about half the leaves, in a walker of its
-  own panels and first re-accumulates the bins above them, so its running
-  covariances have the caller's bits; this thread walks the rest.  The
-  helper's node sums are added after this thread's in the same descending
-  order, so every value and every drift call are those of one walk on one
-  thread.  The drift may be called from both threads at once.
+* core.two_threads walks the outermost nodes on two threads: the helper
+  takes those below _split(J, order), about half the leaves, in a walker of
+  its own panels that first re-accumulates the bins above them, so its
+  covariances have the caller's bits.  Its node sums follow this thread's,
+  in the same descending order, so every value and drift call is that of
+  one walk on one thread; the drift may be called from both threads at once.
 * Covariance entries are floored at 1e-300 before inversion or square root;
   they are a.s. positive but can underflow for lambda = 1e4 when the clock
   puts almost no mass near the interval's right end.
@@ -66,17 +65,18 @@ from __future__ import annotations
 
 import copy
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field as dc_field
-from functools import partial, reduce
+from functools import reduce
+from itertools import chain
 from operator import add
 from typing import Optional
 
 import numpy as np
 
 from .bank import SimulationBank, covariance_integral
-from .core import GRID_RTOL, ProblemSpec, TimeGrid, contract, covariance_weights, phi1
+from .core import (GRID_RTOL, ProblemSpec, TimeGrid, contract, covariance_weights,
+                   one_ahead, phi1, two_threads)
 from .fields import VectorFieldSpec, eval_field
 from .flow import TimeShift, bin_forcings, node_indices
 from .stable import sample_stable_increment
@@ -225,19 +225,15 @@ def em_benchmark_series(spec: ProblemSpec, q: QueryParams, t_list, n_paths: int,
     lambda*delta <= 1; it diverges past lambda*delta = 2, so it raises
     ValueError when the largest lambda times delta_em exceeds 2.
 
-    The draws never depend on the state, so one helper thread owns the
-    generator and draws the noise of the next chunk of steps (about
-    EM_CHUNK_BYTES) while this thread advances the state through the current
-    one.  The stream is drawn in the same order (dL then xi, step by step) and
-    every operation keeps its order, so the values do not depend on the chunk
-    size.  The BLAS thread count does not govern this thread.  A
-    zero drift leaves this thread nothing to overlap with the draws, which then
-    set the pace; the helper would only add GIL handoffs that make the run
-    time vary, so that field draws here, one step at a time.  Under "exp" it
-    also makes no field call and adds no w*B: e1 x + (+0.0) differs from e1 x
-    only in the sign of a zero entry, so no norm or indicator moves.  The
-    state is updated in place: the drift sees a buffer that the step
-    overwrites after the call.
+    The draws never depend on the state, so core.one_ahead draws the next
+    chunk of steps' noise (about EM_CHUNK_BYTES) while this thread steps the
+    current one, in the stream's order (dL then xi, step by step), so no
+    value depends on the chunk size.  A zero drift leaves nothing to overlap,
+    so that field draws here, one step at a time, without the helper's GIL
+    handoffs that make the run time vary; under "exp" it also makes no field
+    call and adds no w*B, which moves only the sign of a zero entry (e1 x +
+    (+0.0)), never an indicator.  The drift sees a state buffer that the
+    step overwrites after the call.
     """
     if method not in BENCHMARK_METHODS:
         raise ValueError(f"unknown benchmark method {method!r}")
@@ -266,35 +262,26 @@ def em_benchmark_series(spec: ProblemSpec, q: QueryParams, t_list, n_paths: int,
     drifting = q.field.kind != "zero"
     per_chunk = max(1, EM_CHUNK_BYTES // x_state.nbytes) if drifting else 1
     buffers = [np.empty((min(per_chunk, n_steps),) + x_state.shape) for _ in range(2)]
+    chunks = (_em_noise(spec, d, rng, noise_w, buffers[c % 2][:min(per_chunk, n_steps - lo)])
+              for c, lo in enumerate(range(0, n_steps, per_chunk)))
     out = dict.fromkeys(steps)   # step count -> indicators; times may share a step
-    with ThreadPoolExecutor(1) as helper:   # starts its thread at the first submit
-        def draw(lo: int):   # a call that returns the noise of the steps from lo on
-            chunk = buffers[lo // per_chunk % 2][:min(per_chunk, n_steps - lo)]
-            job = partial(_em_noise, spec, d, rng, noise_w, chunk)
-            return helper.submit(job).result if drifting else job
-
-        pending = draw(0)
-        for lo in range(0, n_steps, per_chunk):
-            noise = pending()
-            if lo + per_chunk < n_steps:
-                pending = draw(lo + per_chunk)
-            for i, step_noise in enumerate(noise, lo):
-                if method == "exp" and not drifting:   # (e1 x) + noise; w B = +0.0
+    with closing(one_ahead(chunks) if drifting else chunks) as noise:   # joins the helper
+        for i, step_noise in enumerate(chain.from_iterable(noise)):
+            if method == "exp" and not drifting:   # (e1 x) + noise; w B = +0.0
+                np.multiply(e1, x_state, out=x_state)
+            else:
+                drift = eval_field(q.field, q.s + i * d, x_state)
+                if method == "exp":   # ((e1 x) + (w B)) + noise
+                    np.multiply(drift_w, drift, out=scratch)
                     np.multiply(e1, x_state, out=x_state)
-                else:
-                    drift = eval_field(q.field, q.s + i * d, x_state)
-                    if method == "exp":   # ((e1 x) + (w B)) + noise
-                        np.multiply(drift_w, drift, out=scratch)
-                        np.multiply(e1, x_state, out=x_state)
-                    else:                 # (x + d ((-lam x) + B)) + noise
-                        np.multiply(-lam, x_state, out=scratch)
-                        scratch += drift
-                        scratch *= d
-                    x_state += scratch
-                x_state += step_noise
-                if (i + 1) in out:
-                    ind = (np.linalg.norm(x_state, axis=1) > q.radius).astype(float)
-                    out[i + 1] = ind
+                else:                 # (x + d ((-lam x) + B)) + noise
+                    np.multiply(-lam, x_state, out=scratch)
+                    scratch += drift
+                    scratch *= d
+                x_state += scratch
+            x_state += step_noise
+            if (i + 1) in out:
+                out[i + 1] = (np.linalg.norm(x_state, axis=1) > q.radius).astype(float)
     return [_estimate(out[k], -1, q, t=t, method=method, delta_em=delta_em)
             for t, k in zip(t_list, steps)]
 
@@ -624,11 +611,8 @@ def _iterate(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShift]
     B = 0 at every node, so each of the walk's n samples is +0.0: they are
     returned without walking, the walk's estimate bit for bit.  A zero field
     under a nonzero shift walks, since its drift is -f.
-    A helper thread walks the outer nodes below _split(J, order) in a walker
-    of its own; its node sums are added after this thread's, in order.  A
-    walker that raises sets a flag that stops the other at its next outer
-    node, so a failure costs at most one more node; this thread's error, if
-    it raised, is the one raised, else the helper's.
+    core.two_threads walks the outer nodes below _split(J, order) on its
+    helper; a walker that raises stops the other at its next outer node.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -647,25 +631,10 @@ def _iterate(bank: SimulationBank, spec: ProblemSpec, shift: Optional[TimeShift]
         return _estimate(np.zeros(n), order, q)
     frame = _MeshFrame(bank, spec, shift, q, mesh, order, n, nodes, selection)
     J, k = frame.J, _split(frame.J, order)
-    failed = threading.Event()
-
-    def walk(walker: _MeshFrame, lo: int, hi: int):
-        """The sums of outer nodes hi - 1 down to lo, until either walker fails."""
-        try:
-            for node_sum in _node_sums(walker, order, J, [], lo, hi):
-                yield node_sum
-                if failed.is_set():
-                    return
-        except BaseException:
-            failed.set()
-            raise
-
-    with ThreadPoolExecutor(1) as pool:   # starts its thread at the first submit
-        low = pool.submit(lambda walker: list(walk(walker, order - 1, k)),
-                          frame.walker()) if k >= order else None
-        acc = reduce(add, walk(frame, k, J), 0.0)
-        acc = reduce(add, low.result() if low else [], acc)
-    return _estimate(frame.h ** order * acc, order, q)
+    high, low = two_threads(_node_sums(frame, order, J, [], k, J),
+                            _node_sums(frame.walker(), order, J, [], order - 1, k)
+                            if k >= order else None)
+    return _estimate(frame.h ** order * reduce(add, high + low, 0.0), order, q)
 
 
 # ---------------------------------------------------------------------------

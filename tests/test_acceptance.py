@@ -208,10 +208,11 @@ def test_criterion_6_second_iterate_sign_pattern():
     assert eps1 > eps0, "without the shift the first iterate should overshoot further"
     assert abs(eps2) <= 0.06, (
         f"order-2 band: eps2 = {eps2:+.4f}, required |eps2| <= 0.06. The order-2 "
-        f"estimator is verified unbiased against an independent nested oracle; on "
-        f"the format-2 bank at these seeds eps2 = -0.2504, with a standard error of "
-        f"about 0.1; the band encodes a reference value the exact scheme does not "
-        f"attain. See README, 'Acceptance status'.")
+        f"estimator is checked against test_iterates_match_constant_drift_oracle "
+        f"and test_iterates_match_random_clock_oracle; on the format-2 bank at these "
+        f"seeds eps2 = -0.2504, with a standard error of about 0.1; the band encodes "
+        f"a reference value the exact scheme does not attain. See README, "
+        f"'Acceptance status'.")
 
 
 def test_criterion_7_structural_properties(tmp_path):

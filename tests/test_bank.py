@@ -260,7 +260,7 @@ def test_bank_bytes_independent_of_chunks_and_workers(spec3, monkeypatch, m_sub,
     make_rng = levybank.bank.make_rng
     for paths in (1, 7, max(m_sub, m_ou)):
         monkeypatch.setattr(levybank.bank, "GENERATE_CHUNK_BYTES", 8 * 1000 * paths)
-        for pool in (OneWorker, levybank.bank.ThreadPoolExecutor):
+        for pool in (OneWorker, levybank.core.ThreadPoolExecutor):
             threads = set()
 
             def seen(*key):
@@ -271,7 +271,7 @@ def test_bank_bytes_independent_of_chunks_and_workers(spec3, monkeypatch, m_sub,
             sys.setswitchinterval(1e-5)   # hand the interpreter over often
             try:
                 with monkeypatch.context() as m:
-                    m.setattr(levybank.bank, "ThreadPoolExecutor", pool)
+                    m.setattr(levybank.core, "ThreadPoolExecutor", pool)
                     m.setattr(levybank.bank, "make_rng", seen)
                     got = generate_bank(spec3, 1e-3, 1e-2, m_sub, m_ou, 12, **options)
             finally:

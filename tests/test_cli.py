@@ -232,6 +232,33 @@ def test_query_window_and_steps_refused_before_any_bank(tmp_path, capsys, monkey
     assert not (tmp_path / "b.lvib").exists() and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("line, key", [
+    ("estimator.mesh = 0.25", "estimator.mesh"),
+    ("query.s = 0.5", "query.s"),
+])
+def test_figure_refuses_its_grid_before_any_bank(tmp_path, capsys, monkeypatch, line, key):
+    # the config passes on [query.s, horizon], but figure's default grid starts
+    # at horizon/10 = 0.1: the mesh does not divide [0, 0.1], and s = 0.5 lies
+    # above its first five times.  Both were refused after the bank was written.
+    conf = write_conf(tmp_path, f"{line}\nbank.path = {tmp_path}/b{{alpha}}.lvib\n")
+    refuse_work(monkeypatch)
+    assert cli.main(["figure", "--figure", "1", "--config", str(conf)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {key} must ")
+    assert list(tmp_path.glob("*.lvib")) == []
+
+
+def test_figure_grid_may_round_past_the_horizon(tmp_path, monkeypatch):
+    # figure's last default time round(horizon, 10) = 0.6666666667 lies above
+    # this horizon, within the library's grid tolerance, and figure runs
+    steps = "".join(f"{key} = {2 / 3 / n!r}\n" for key, n in (
+        ("bank.delta_fine", 1000), ("bank.delta_coarse", 100), ("estimator.mesh", 100),
+        ("estimator.delta_em", 100)))
+    conf = write_conf(tmp_path, f"problem.horizon = {2 / 3!r}\n{steps}")
+    refuse_work(monkeypatch)
+    with pytest.raises(AssertionError, match="work began"):
+        cli.main(["figure", "--figure", "1", "--config", str(conf)])
+
+
 def test_front_end_imports_load_no_numpy():
     # main pins BLAS to one thread before numpy loads, so the modules it
     # imports must leave numpy to the commands

@@ -1,13 +1,19 @@
+import ast
 import math
+import threading
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import levybank
+from levybank import core
 from levybank.core import (DiagonalOperator, ProblemSpec, TimeGrid,
-                           covariance_deterministic_clock, phi1,
-                           squared_eigenvalues)
+                           covariance_deterministic_clock, one_ahead, phi1,
+                           squared_eigenvalues, two_threads)
 
 
 def make_spec(**kw):
@@ -121,3 +127,183 @@ def test_time_grid_index_roundtrip(n, i):
     i = min(i, n)
     grid = TimeGrid(0.0, 1.0, 1.0 / n)
     assert grid.index_of(grid.times()[i]) == i
+
+
+# ---------------------------------------------------------------------------
+# The helper thread: two_threads and one_ahead
+
+
+class Planted(Exception):
+    pass
+
+
+class Counted:
+    """An iterator over make(i), i = 0 .. n-1, that counts the items pulled."""
+
+    def __init__(self, make, n=100):
+        self.make, self.n, self.pulled = make, n, 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if self.pulled == self.n:
+            raise StopIteration
+        self.pulled += 1
+        return self.make(self.pulled - 1)
+
+
+def watch_stop(monkeypatch) -> threading.Event:
+    """An event set once two_threads has set its stop flag."""
+    stopped = threading.Event()
+
+    class Stop(threading.Event):
+        def set(self):
+            super().set()
+            stopped.set()
+
+    monkeypatch.setattr(core, "threading", SimpleNamespace(Event=Stop))
+    return stopped
+
+
+def count_starts(monkeypatch) -> list:
+    started, start = [], threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
+
+
+def test_two_threads_returns_both_sides_in_order():
+    main = threading.main_thread()
+    where = []
+
+    def helper_item(i):
+        where.append(threading.current_thread() is main)
+        return 100 + i
+
+    assert two_threads(Counted(lambda i: i, 40), Counted(helper_item, 50)) == \
+        (list(range(40)), list(range(100, 150)))
+    assert where == [False] * 50
+
+
+def test_caller_error_stops_the_helper_before_its_next_item(monkeypatch):
+    # the helper is inside its item 1 when the calling thread fails at item 2,
+    # and finishes that item only once the stop flag is set
+    stopped, helper_busy = watch_stop(monkeypatch), threading.Event()
+
+    def helper_item(i):
+        if i == 1:
+            helper_busy.set()
+            assert stopped.wait(10)
+        return i
+
+    def caller_item(i):
+        if i == 2:
+            assert helper_busy.wait(10)
+            raise Planted("caller")
+        return i
+
+    mine, theirs = Counted(caller_item), Counted(helper_item)
+    with pytest.raises(Planted, match="caller"):
+        two_threads(mine, theirs)
+    assert (mine.pulled, theirs.pulled) == (3, 2)
+
+
+def test_helper_error_stops_the_caller_and_is_raised(monkeypatch):
+    stopped, caller_busy = watch_stop(monkeypatch), threading.Event()
+
+    def caller_item(i):
+        if i == 1:
+            caller_busy.set()
+            assert stopped.wait(10)
+        return i
+
+    def helper_item(i):
+        if i == 2:
+            assert caller_busy.wait(10)
+            raise Planted("helper")
+        return i
+
+    mine, theirs = Counted(caller_item), Counted(helper_item)
+    with pytest.raises(Planted, match="helper"):
+        two_threads(mine, theirs)
+    assert (mine.pulled, theirs.pulled) == (2, 3)
+
+
+def test_callers_error_wins_when_both_raise(monkeypatch):
+    # the helper fails first, while the calling thread is in its first item
+    stopped, caller_busy = watch_stop(monkeypatch), threading.Event()
+
+    def caller_item(i):
+        caller_busy.set()
+        assert stopped.wait(10)
+        raise Planted("caller")
+
+    def helper_item(i):
+        assert caller_busy.wait(10)
+        raise Planted("helper")
+
+    mine, theirs = Counted(caller_item), Counted(helper_item)
+    with pytest.raises(Planted, match="caller"):
+        two_threads(mine, theirs)
+    assert (mine.pulled, theirs.pulled) == (1, 1)
+
+
+def test_two_threads_without_theirs_starts_no_thread(monkeypatch):
+    started = count_starts(monkeypatch)
+    assert two_threads(Counted(lambda i: i, 5), None) == ([0, 1, 2, 3, 4], [])
+    assert started == []
+    two_threads(Counted(lambda i: i, 5), Counted(lambda i: i, 5))
+    assert len(started) == 1
+
+
+def test_one_ahead_makes_one_item_ahead_on_the_helper():
+    main = threading.main_thread()
+    made = [threading.Event() for _ in range(11)]
+    where = []
+
+    def make(i):
+        where.append(threading.current_thread() is main)
+        made[i].set()
+        return i
+
+    items = Counted(make, 10)
+    got = []
+    for item in one_ahead(items):
+        assert item == 9 or made[item + 1].wait(10)
+        assert items.pulled == min(item + 2, 10)   # this item and the next
+        got.append(item)
+    assert got == list(range(10)) and where == [False] * 10
+
+
+def test_closing_one_ahead_joins_its_thread():
+    helpers = set()
+
+    def make(i):
+        helpers.add(threading.current_thread())
+        return i
+
+    items = Counted(make)
+    ahead = one_ahead(items)
+    assert [next(ahead) for _ in range(3)] == [0, 1, 2]
+    ahead.close()
+    assert len(helpers) == 1 and not helpers.pop().is_alive()
+    assert items.pulled == 4   # the three taken and the one made ahead
+
+
+def test_only_core_starts_threads():
+    # one rule for the helper thread: every other module goes through core
+    for path in sorted(Path(levybank.__file__).parent.glob("*.py")):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.update([node.module] + [f"{node.module}.{a.name}" for a in node.names])
+        threads = {name for name in imported
+                   if name == "threading" or name.startswith("concurrent.futures")}
+        assert not threads or path.name == "core.py", (path.name, threads)
